@@ -377,32 +377,51 @@ const (
 	intakeQuota     = 256
 )
 
-// frameQueue is a FIFO of raw frames with O(1) push/pop and reusable
-// backing storage (popped slots are nil'd; the slice rewinds when the
-// queue empties).
+// frameQueue is a FIFO of raw frames in a ring that doubles on demand
+// up to the push bound, so its storage follows how deep a backlog got,
+// never how long it lasted. Popped slots are nil'd so delivered frames
+// can be collected.
 type frameQueue struct {
-	frames [][]byte
-	head   int
+	ring [][]byte
+	head int
+	n    int
 }
 
-func (q *frameQueue) len() int { return len(q.frames) - q.head }
+func (q *frameQueue) len() int { return q.n }
 
 func (q *frameQueue) push(frame []byte, bound int) bool {
-	if q.len() >= bound {
+	if q.n >= bound {
 		return false
 	}
-	q.frames = append(q.frames, frame)
+	if q.n == len(q.ring) {
+		q.grow(bound)
+	}
+	tail := q.head + q.n
+	if tail >= len(q.ring) {
+		tail -= len(q.ring)
+	}
+	q.ring[tail] = frame
+	q.n++
 	return true
 }
 
+// grow doubles the full ring, capped at bound slots, unwrapping the
+// queued frames to the front.
+func (q *frameQueue) grow(bound int) {
+	ring := make([][]byte, min(max(2*len(q.ring), 16), bound))
+	k := copy(ring, q.ring[q.head:])
+	copy(ring[k:], q.ring[:q.head])
+	q.ring, q.head = ring, 0
+}
+
 func (q *frameQueue) pop() []byte {
-	frame := q.frames[q.head]
-	q.frames[q.head] = nil
+	frame := q.ring[q.head]
+	q.ring[q.head] = nil
 	q.head++
-	if q.head == len(q.frames) {
-		q.frames = q.frames[:0]
+	if q.head == len(q.ring) {
 		q.head = 0
 	}
+	q.n--
 	return frame
 }
 

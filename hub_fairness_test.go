@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"damulticast/internal/invariant"
 )
 
 // twoHubPair wires a publisher and a subscriber hub for one topic over
@@ -252,5 +254,62 @@ func TestHubFairnessHotCold(t *testing.T) {
 	}
 	if st := hot.Stats(); st.DroppedOldest != 0 {
 		t.Errorf("hot subscription counted %d oldest-drops under DropNewest", st.DroppedOldest)
+	}
+}
+
+// TestFrameQueueSteadyStorage: a backlog that never empties — one push
+// and one pop per step, for a million steps — keeps FIFO order,
+// allocates nothing once the ring has grown to the backlog's depth,
+// and never holds more than maxQueuedFrames slots, even when pushed
+// to the bound.
+func TestFrameQueueSteadyStorage(t *testing.T) {
+	frames := make([][]byte, 3*maxQueuedFrames)
+	for i := range frames {
+		frames[i] = []byte{byte(i), byte(i >> 8)}
+	}
+	var q frameQueue
+	pushed, popped := 0, 0
+	for ; pushed < maxQueuedFrames; pushed++ {
+		if !q.push(frames[pushed%len(frames)], maxQueuedFrames) {
+			t.Fatalf("push %d refused below the bound", pushed)
+		}
+	}
+	if q.push(frames[0], maxQueuedFrames) {
+		t.Fatal("push past the bound accepted")
+	}
+	for ; popped < maxQueuedFrames/2; popped++ {
+		q.pop()
+	}
+	misordered := 0
+	step := func() {
+		q.push(frames[pushed%len(frames)], maxQueuedFrames)
+		pushed++
+		if got := q.pop(); &got[0] != &frames[popped%len(frames)][0] {
+			misordered++
+		}
+		popped++
+	}
+	invariant.SteadyStorage(t, 1_000_000, step)
+	if misordered != 0 {
+		t.Errorf("%d frames popped out of FIFO order", misordered)
+	}
+	if q.len() != maxQueuedFrames/2 {
+		t.Errorf("backlog = %d, want %d", q.len(), maxQueuedFrames/2)
+	}
+	if len(q.ring) > maxQueuedFrames {
+		t.Errorf("ring holds %d slots, bound %d", len(q.ring), maxQueuedFrames)
+	}
+}
+
+func BenchmarkFrameQueuePushPop(b *testing.B) {
+	frame := []byte{1}
+	var q frameQueue
+	for range maxQueuedFrames / 2 {
+		q.push(frame, maxQueuedFrames)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		q.push(frame, maxQueuedFrames)
+		q.pop()
 	}
 }

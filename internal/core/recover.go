@@ -187,81 +187,105 @@ func (p *Process) recoverLinked(ft topic.Topic) bool {
 	return ft.StrictlyIncludes(p.topic) || p.topic.StrictlyIncludes(ft)
 }
 
-// storedRef is one FIFO/age bookkeeping entry of the event store.
+// storedRef is one ring slot of the event store: the event and the
+// tick it was first seen at, for age-based GC.
 type storedRef struct {
-	id   ids.EventID
+	ev   *Event
 	tick int
 }
 
 // eventStore is a bounded, insertion-ordered store of recently seen
-// events: a map for O(1) lookup plus a FIFO queue carrying the tick
-// each event was first seen at, for capacity eviction and age-based GC
-// (the same compaction scheme as ids.SeenSet). Memory is bounded by
-// cap events regardless of traffic. Not goroutine-safe; the owning
-// Process drives it.
+// events. Insertion number k (counted by an ids.Window over the last
+// cap insertions, which also resolves ids to numbers) lives in
+// ring[(k-1) % len(ring)]; the store holds the newest live insertions,
+// so capacity eviction and age GC both drop from the oldest end. The
+// ring doubles on demand up to cap slots, and the window's storage
+// depends on cap alone, so memory is bounded by cap events regardless
+// of traffic. Not goroutine-safe; the owning Process drives it.
 type eventStore struct {
 	cap   int
-	byID  map[ids.EventID]*Event
-	queue []storedRef
-	head  int
+	index ids.Window
+	ring  []storedRef
+	live  int
 }
 
 func newEventStore(capacity int) *eventStore {
-	return &eventStore{cap: capacity, byID: make(map[ids.EventID]*Event)}
+	return &eventStore{cap: capacity, index: ids.NewWindow(capacity)}
 }
 
 // Len returns the number of events held.
-func (s *eventStore) Len() int { return len(s.byID) }
+func (s *eventStore) Len() int { return s.live }
 
 // Cap returns the configured capacity.
 func (s *eventStore) Cap() int { return s.cap }
+
+// slot returns the ring slot of insertion number ins.
+func (s *eventStore) slot(ins uint64) *storedRef {
+	return &s.ring[(ins-1)%uint64(len(s.ring))]
+}
+
+// at returns the ring slot of the i-th oldest held entry
+// (0 <= i < Len): iterating i upward walks the store in insertion
+// order.
+func (s *eventStore) at(i int) *storedRef {
+	return s.slot(s.index.Inserted() - uint64(s.live) + 1 + uint64(i))
+}
 
 // Add inserts ev at the given tick, evicting the oldest entry when the
 // store is full. Duplicate ids are ignored (callers add only on first
 // sight). It returns the number of entries evicted (0 or 1).
 func (s *eventStore) Add(ev *Event, tick int) int {
-	if _, dup := s.byID[ev.ID]; dup {
+	if _, held := s.Get(ev.ID); held {
 		return 0
 	}
 	evicted := 0
-	if len(s.byID) >= s.cap {
-		s.popHead()
+	if s.live == s.cap {
+		s.dropOldest()
 		evicted = 1
 	}
-	s.byID[ev.ID] = ev
-	s.queue = append(s.queue, storedRef{id: ev.ID, tick: tick})
+	if s.live == len(s.ring) {
+		s.grow()
+	}
+	*s.slot(s.index.Insert(ev.ID)) = storedRef{ev: ev, tick: tick}
+	s.live++
 	return evicted
+}
+
+// grow doubles the full ring, up to cap slots, re-placing the live
+// entries under the new modulus (consecutive insertion numbers stay
+// distinct modulo the larger length).
+func (s *eventStore) grow() {
+	old := s.ring
+	s.ring = make([]storedRef, min(max(2*len(old), 8), s.cap))
+	last := s.index.Inserted()
+	for ins := last - uint64(s.live) + 1; ins <= last; ins++ {
+		*s.slot(ins) = old[(ins-1)%uint64(len(old))]
+	}
 }
 
 // Get returns the stored event for id, if held.
 func (s *eventStore) Get(id ids.EventID) (*Event, bool) {
-	ev, ok := s.byID[id]
-	return ev, ok
+	ins, ok := s.index.Lookup(id)
+	if !ok || s.index.Inserted()-ins >= uint64(s.live) {
+		return nil, false
+	}
+	return s.slot(ins).ev, true
 }
 
-// popHead drops the oldest entry.
-func (s *eventStore) popHead() {
-	old := s.queue[s.head]
-	delete(s.byID, old.id)
-	s.head++
-	if s.head > s.cap {
-		s.queue = append(s.queue[:0], s.queue[s.head:]...)
-		s.head = 0
-	}
+// dropOldest evicts the oldest entry, releasing its event.
+func (s *eventStore) dropOldest() {
+	*s.at(0) = storedRef{}
+	s.live--
 }
 
 // GC evicts every entry older than maxAge ticks and returns how many
-// went. The queue is tick-ordered (ticks only grow), so eviction stops
+// went. Entries are tick-ordered (ticks only grow), so eviction stops
 // at the first young entry.
 func (s *eventStore) GC(now, maxAge int) int {
 	n := 0
-	for s.head < len(s.queue) && now-s.queue[s.head].tick > maxAge {
-		s.popHead()
+	for s.live > 0 && now-s.at(0).tick > maxAge {
+		s.dropOldest()
 		n++
-	}
-	if s.head == len(s.queue) {
-		s.queue = s.queue[:0]
-		s.head = 0
 	}
 	return n
 }
@@ -271,12 +295,8 @@ func (s *eventStore) GC(now, maxAge int) int {
 // digest itself is a bloom filter over *all* ids now; this remains for
 // tests and introspection.)
 func (s *eventStore) AppendIDs(dst []ids.EventID, max int) []ids.EventID {
-	start := s.head
-	if live := len(s.queue) - s.head; live > max {
-		start = len(s.queue) - max
-	}
-	for _, ref := range s.queue[start:] {
-		dst = append(dst, ref.id)
+	for i := s.live - min(max, s.live); i < s.live; i++ {
+		dst = append(dst, s.at(i).ev.ID)
 	}
 	return dst
 }
@@ -310,8 +330,8 @@ func (p *Process) buildDigest() (bits []byte, k int, seed uint64) {
 	}
 	seed = uint64(xrand.SeedFor(int64(p.tick), "bloom:"+string(p.id)))
 	bits = make([]byte, nBytes)
-	for _, ref := range p.store.queue[p.store.head:] {
-		bloomAdd(bits, k, seed, ref.id)
+	for i := range n {
+		bloomAdd(bits, k, seed, p.store.at(i).ev.ID)
 	}
 	return bits, k, seed
 }
@@ -392,12 +412,12 @@ func (p *Process) onDigest(m *Message) {
 	}
 	var out []*Event
 	bytes := 0
-	for _, ref := range p.store.queue[p.store.head:] {
-		ev := p.store.byID[ref.id]
+	for i := range p.store.Len() {
+		ev := p.store.at(i).ev
 		if !m.FromTopic.Includes(ev.Topic) {
 			continue // the peer's group is not entitled to this event
 		}
-		if bloomHas(m.BloomBits, m.BloomK, m.BloomSeed, ref.id) {
+		if bloomHas(m.BloomBits, m.BloomK, m.BloomSeed, ev.ID) {
 			p.recoverStats.suppressed.Add(1)
 			continue
 		}

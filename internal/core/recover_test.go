@@ -2,9 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"damulticast/internal/ids"
+	"damulticast/internal/invariant"
 )
 
 // recoverParams returns params with every periodic task disabled
@@ -72,8 +75,8 @@ func TestEventStoreGCByAge(t *testing.T) {
 }
 
 // TestEventStoreQueueCompaction drives enough traffic through a tiny
-// store that the FIFO queue must compact; the backing slice stays
-// bounded by ~2x cap rather than growing with total throughput.
+// store that its ring wraps many times; the ring never outgrows cap
+// slots and holds exactly the newest entries.
 func TestEventStoreQueueCompaction(t *testing.T) {
 	s := newEventStore(4)
 	for i := uint64(0); i < 1000; i++ {
@@ -82,11 +85,139 @@ func TestEventStoreQueueCompaction(t *testing.T) {
 	if s.Len() != 4 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	if got := len(s.queue) - s.head; got != 4 {
-		t.Errorf("live queue window = %d, want 4", got)
+	if got := s.AppendIDs(nil, 4096); len(got) != 4 || got[0].Seq != 996 || got[3].Seq != 999 {
+		t.Errorf("live window = %v, want seqs 996..999", got)
 	}
-	if cap(s.queue) > 64 {
-		t.Errorf("queue backing array grew to %d for a cap-4 store", cap(s.queue))
+	if len(s.ring) > s.Cap() || cap(s.ring) > s.Cap() {
+		t.Errorf("ring grew to %d/%d slots for a cap-4 store", len(s.ring), cap(s.ring))
+	}
+}
+
+// fifoStore is the reference event store: a slice of (event, tick) in
+// insertion order, scanned linearly.
+type fifoStore struct {
+	cap  int
+	refs []storedRef
+}
+
+func (f *fifoStore) find(id ids.EventID) int {
+	for i, r := range f.refs {
+		if r.ev.ID == id {
+			return i
+		}
+	}
+	return -1
+}
+
+func (f *fifoStore) add(ev *Event, tick int) int {
+	if f.find(ev.ID) >= 0 {
+		return 0
+	}
+	evicted := 0
+	if len(f.refs) == f.cap {
+		f.refs = f.refs[1:]
+		evicted = 1
+	}
+	f.refs = append(f.refs, storedRef{ev: ev, tick: tick})
+	return evicted
+}
+
+func (f *fifoStore) gc(now, maxAge int) int {
+	n := 0
+	for len(f.refs) > 0 && now-f.refs[0].tick > maxAge {
+		f.refs = f.refs[1:]
+		n++
+	}
+	return n
+}
+
+// TestEventStoreMatchesFIFO: the ring-indexed store answers Add, Get,
+// GC and AppendIDs exactly like a plain FIFO — same return values, same
+// events, same insertion order — under random traffic whose ids recur
+// after capacity eviction and after age GC, across the ring's growth.
+func TestEventStoreMatchesFIFO(t *testing.T) {
+	for _, capacity := range []int{1, 2, 3, 7, 16, 1024} {
+		r := rand.New(rand.NewSource(int64(capacity)))
+		s := newEventStore(capacity)
+		ref := &fifoStore{cap: capacity}
+		events := make([]*Event, 3*capacity+2)
+		for i := range events {
+			events[i] = &Event{ID: ids.EventID{Origin: "p", Seq: uint64(i)}}
+		}
+		tick := 0
+		for step := 0; step < 50_000; step++ {
+			ev := events[r.Intn(len(events))]
+			switch op := r.Intn(16); {
+			case op < 10:
+				if got, want := s.Add(ev, tick), ref.add(ev, tick); got != want {
+					t.Fatalf("cap %d step %d: Add(%v) evicted %d, FIFO %d", capacity, step, ev.ID, got, want)
+				}
+			case op < 13:
+				got, ok := s.Get(ev.ID)
+				want := ref.find(ev.ID)
+				if ok != (want >= 0) || (ok && got != ev) {
+					t.Fatalf("cap %d step %d: Get(%v) = %v %v, FIFO index %d", capacity, step, ev.ID, got, ok, want)
+				}
+			case op < 14:
+				maxAge := r.Intn(capacity + 2)
+				if got, want := s.GC(tick, maxAge), ref.gc(tick, maxAge); got != want {
+					t.Fatalf("cap %d step %d: GC(%d, %d) = %d, FIFO %d", capacity, step, tick, maxAge, got, want)
+				}
+			case op < 15:
+				tick++
+			default:
+				limit := r.Intn(capacity + 2)
+				got := s.AppendIDs(nil, limit)
+				var want []ids.EventID
+				for _, rr := range ref.refs[len(ref.refs)-min(limit, len(ref.refs)):] {
+					want = append(want, rr.ev.ID)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("cap %d step %d: AppendIDs(%d) = %v, FIFO %v", capacity, step, limit, got, want)
+				}
+			}
+			if s.Len() != len(ref.refs) {
+				t.Fatalf("cap %d step %d: Len = %d, FIFO %d", capacity, step, s.Len(), len(ref.refs))
+			}
+		}
+	}
+}
+
+// TestEventStoreSteadyStorage: once the ring has reached cap and wrapped,
+// a million further events, each with a fresh id, allocate nothing in
+// the store and leave the heap where it was.
+func TestEventStoreSteadyStorage(t *testing.T) {
+	const capacity = 512 // the RecoverStoreCap default
+	s := newEventStore(capacity)
+	// Event structs come from a pool bigger than the store and get a
+	// fresh id on reuse (their last use has been evicted by then), so
+	// the measurement sees only the store's own allocations.
+	events := make([]Event, 4*capacity)
+	next := 0
+	push := func() {
+		ev := &events[next%len(events)]
+		ev.ID = ids.EventID{Origin: "p", Seq: uint64(next)}
+		s.Add(ev, next)
+		next++
+	}
+	for range 4 * capacity {
+		push()
+	}
+	invariant.SteadyStorage(t, 1_000_000, push)
+	if s.Len() != capacity || len(s.ring) != capacity {
+		t.Errorf("Len %d, ring %d slots, want both %d", s.Len(), len(s.ring), capacity)
+	}
+}
+
+func BenchmarkEventStoreAdd(b *testing.B) {
+	const capacity = 512
+	s := newEventStore(capacity)
+	events := make([]Event, 4*capacity)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ev := &events[i%len(events)]
+		ev.ID = ids.EventID{Origin: "p", Seq: uint64(i)}
+		s.Add(ev, i)
 	}
 }
 

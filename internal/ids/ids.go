@@ -58,18 +58,96 @@ func SortProcessIDs(ps []ProcessID) []ProcessID {
 	return ps
 }
 
-// SeenSet is a bounded set of EventIDs with FIFO eviction. Gossip
-// protocols must suppress duplicate deliveries of the same event, but
-// cannot remember every event forever; a bounded window is the standard
-// compromise (cf. lpbcast's event-id buffer).
+// Window numbers inserted ids 1, 2, 3, … and remembers the number of
+// each of the last cap insertions. It is the index behind SeenSet, and
+// behind the recovery event store, whose ring it addresses by these
+// numbers.
+//
+// Eviction never deletes from a map: a Go map does not shrink, and it
+// keeps growing over the tombstones deletes leave, so a FIFO map's
+// storage would follow the number of ids that ever passed through it.
+// Instead three insert-only generations of ⌈cap/2⌉ insertions rotate:
+// when the newest fills, the oldest — whose ids are all at least 2·⌈cap/2⌉
+// ≥ cap insertions old — is cleared and reused. Lookups scan newest
+// first, so a re-inserted id's latest number shadows a stale copy in
+// an older generation. Storage is bounded by about 1.5·cap entries
+// whatever the traffic.
+//
+// The zero value is unusable; use NewWindow. Window is not
+// goroutine-safe.
+type Window struct {
+	cap  int
+	half int // insertions per generation, ⌈cap/2⌉
+	gens [3]map[EventID]uint64
+	cur  int    // index of the newest generation
+	fill int    // insertions into gens[cur]
+	n    uint64 // insertions so far; the latest id holds number n
+}
+
+// NewWindow returns a Window over the last capacity insertions
+// (capacity >= 1). Only the first generation's map is made, and it
+// grows on demand: preallocating here would make building an
+// N-process simulation O(N·cap) — ~46s of wall clock for 20k processes
+// at the default SeenSet window.
+func NewWindow(capacity int) Window {
+	return Window{
+		cap:  capacity,
+		half: (capacity + 1) / 2,
+		gens: [3]map[EventID]uint64{make(map[EventID]uint64)},
+	}
+}
+
+// Insert records id as the next insertion and returns its number. An
+// id already in the window is numbered afresh; its older number no
+// longer resolves.
+func (w *Window) Insert(id EventID) uint64 {
+	if w.fill == w.half {
+		w.cur = (w.cur + 1) % len(w.gens)
+		if w.gens[w.cur] == nil {
+			w.gens[w.cur] = make(map[EventID]uint64)
+		} else {
+			clear(w.gens[w.cur])
+		}
+		w.fill = 0
+	}
+	w.fill++
+	w.n++
+	w.gens[w.cur][id] = w.n
+	return w.n
+}
+
+// Lookup returns id's latest insertion number if that insertion is
+// among the last cap.
+func (w *Window) Lookup(id EventID) (uint64, bool) {
+	g := w.cur
+	for range len(w.gens) {
+		if ins, ok := w.gens[g][id]; ok {
+			// Older generations hold only older numbers for id.
+			return ins, w.n-ins < uint64(w.cap)
+		}
+		if g == 0 {
+			g = len(w.gens)
+		}
+		g--
+	}
+	return 0, false
+}
+
+// Inserted returns the number of insertions so far (the latest
+// insertion's number).
+func (w *Window) Inserted() uint64 { return w.n }
+
+// SeenSet is a bounded set of EventIDs with FIFO eviction: it holds
+// exactly the last Cap ids first sighted. Gossip protocols must
+// suppress duplicate deliveries of the same event, but cannot remember
+// every event forever; a bounded window is the standard compromise
+// (cf. lpbcast's event-id buffer). Its storage depends on Cap only,
+// never on how many ids have passed through it (see Window).
 //
 // The zero value is unusable; use NewSeenSet. SeenSet is not
 // goroutine-safe; callers synchronize (each core.Process owns one).
 type SeenSet struct {
-	cap   int
-	set   map[EventID]struct{}
-	queue []EventID
-	head  int
+	w Window
 }
 
 // DefaultSeenCap is a generous default window for simulations and
@@ -83,45 +161,28 @@ func NewSeenSet(capacity int) *SeenSet {
 	if capacity <= 0 {
 		capacity = DefaultSeenCap
 	}
-	// The map grows on demand toward cap; preallocating cap slots here
-	// would make building an N-process simulation O(N·cap) — ~46s of
-	// wall clock for 20k processes at the default window.
-	return &SeenSet{
-		cap: capacity,
-		set: make(map[EventID]struct{}),
-	}
+	return &SeenSet{w: NewWindow(capacity)}
 }
 
 // Seen reports whether id is in the window.
 func (s *SeenSet) Seen(id EventID) bool {
-	_, ok := s.set[id]
+	_, ok := s.w.Lookup(id)
 	return ok
 }
 
 // Add inserts id, evicting the oldest entry if the window is full.
 // It returns true if the id was new (i.e. this is the first sighting).
 func (s *SeenSet) Add(id EventID) bool {
-	if _, ok := s.set[id]; ok {
+	if s.Seen(id) {
 		return false
 	}
-	if len(s.set) >= s.cap {
-		old := s.queue[s.head]
-		delete(s.set, old)
-		s.head++
-		// Compact the backing slice occasionally so the queue does
-		// not grow without bound.
-		if s.head > s.cap {
-			s.queue = append(s.queue[:0], s.queue[s.head:]...)
-			s.head = 0
-		}
-	}
-	s.set[id] = struct{}{}
-	s.queue = append(s.queue, id)
+	s.w.Insert(id)
 	return true
 }
 
-// Len returns the number of ids currently remembered.
-func (s *SeenSet) Len() int { return len(s.set) }
+// Len returns the number of ids currently remembered. Every insertion
+// is of an id not in the window, so the window's ids are distinct.
+func (s *SeenSet) Len() int { return int(min(s.w.n, uint64(s.w.cap))) }
 
 // Cap returns the configured window capacity.
-func (s *SeenSet) Cap() int { return s.cap }
+func (s *SeenSet) Cap() int { return s.w.cap }

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"damulticast/internal/invariant"
 )
 
 func TestEventIDString(t *testing.T) {
@@ -94,7 +96,8 @@ func TestSeenSetDefaultCap(t *testing.T) {
 }
 
 func TestSeenSetCompaction(t *testing.T) {
-	// Push far past capacity to exercise the queue-compaction branch.
+	// Push far past capacity so every generation is cleared and reused
+	// many times over.
 	s := NewSeenSet(8)
 	for i := uint64(0); i < 1000; i++ {
 		if !s.Add(EventID{"p", i}) {
@@ -154,6 +157,72 @@ func TestPropAddIdempotent(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// fifoSeen is the reference duplicate window: a map plus a FIFO queue
+// of the ids in insertion order, evicting the oldest at cap.
+type fifoSeen struct {
+	cap   int
+	set   map[EventID]bool
+	queue []EventID
+}
+
+func (f *fifoSeen) add(id EventID) bool {
+	if f.set[id] {
+		return false
+	}
+	if len(f.queue) == f.cap {
+		delete(f.set, f.queue[0])
+		f.queue = f.queue[1:]
+	}
+	f.set[id] = true
+	f.queue = append(f.queue, id)
+	return true
+}
+
+// TestSeenSetMatchesFIFO: the generational window answers Add, Seen
+// and Len exactly like a plain FIFO at every step, including ids that
+// recur after they were evicted and ids whose stale copy still sits in
+// an older generation.
+func TestSeenSetMatchesFIFO(t *testing.T) {
+	for _, capacity := range []int{1, 2, 3, 7, 16, 1024} {
+		r := rand.New(rand.NewSource(int64(capacity)))
+		s := NewSeenSet(capacity)
+		ref := &fifoSeen{cap: capacity, set: map[EventID]bool{}}
+		// The id space is a few windows wide, so most ids recur after
+		// eviction and some recur while still held.
+		space := 3*capacity + 2
+		for step := 0; step < 200_000; step++ {
+			id := EventID{"p", uint64(r.Intn(space))}
+			if r.Intn(4) == 0 {
+				if got, want := s.Seen(id), ref.set[id]; got != want {
+					t.Fatalf("cap %d step %d: Seen(%v) = %v, FIFO says %v", capacity, step, id, got, want)
+				}
+				continue
+			}
+			if got, want := s.Add(id), ref.add(id); got != want {
+				t.Fatalf("cap %d step %d: Add(%v) = %v, FIFO says %v", capacity, step, id, got, want)
+			}
+			if got, want := s.Len(), len(ref.queue); got != want {
+				t.Fatalf("cap %d step %d: Len = %d, FIFO says %d", capacity, step, got, want)
+			}
+		}
+	}
+}
+
+// TestSeenSetSteadyStorage: once the window has cycled, a million
+// further ids allocate nothing and leave the heap where it was.
+func TestSeenSetSteadyStorage(t *testing.T) {
+	s := NewSeenSet(DefaultSeenCap)
+	seq := uint64(0)
+	push := func() {
+		seq++
+		s.Add(EventID{"p", seq})
+	}
+	for i := 0; i < 4*DefaultSeenCap; i++ {
+		push()
+	}
+	invariant.SteadyStorage(t, 1_000_000, push)
 }
 
 func BenchmarkSeenSetAdd(b *testing.B) {

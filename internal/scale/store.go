@@ -222,12 +222,17 @@ func (s *Store) populate(seed int64, workers int) {
 // scan for the slot instead of rejection-looping toward coupon-collector
 // cost. Callers guarantee a free candidate exists (stride ≤ size-1 for
 // views, stride ≤ size for tables whose self lies outside the range).
+//
+// A 1024-bit filter over the entries placed so far answers most
+// duplicate checks without the linear scan; a filter hit still scans,
+// so the entries are exactly those of the scan alone.
 func fillDistinct(rng *sm64, dst []uint32, start, size, self uint32) {
+	var placed filter1k
 	for j := range dst {
 		dst[j] = self // sentinel: self is never a valid entry
 		for tries := 0; tries < 64; tries++ {
 			c := start + rng.intn(size)
-			if c == self || contains(dst, c, j) {
+			if c == self || placed.contains(dst, c, j) {
 				continue
 			}
 			dst[j] = c
@@ -240,17 +245,28 @@ func fillDistinct(rng *sm64, dst []uint32, start, size, self uint32) {
 			off := rng.intn(size)
 			for k := uint32(0); k < size; k++ {
 				c := start + (off+k)%size
-				if c != self && !contains(dst, c, j) {
+				if c != self && !placed.contains(dst, c, j) {
 					dst[j] = c
 					break
 				}
 			}
 		}
+		placed.add(dst[j])
 	}
 }
 
-// contains reports whether dst[:limit] already holds c.
-func contains(dst []uint32, c uint32, limit int) bool {
+// filter1k is a 1024-bit membership filter keyed by a value's low ten
+// bits: no false negatives, so a miss proves absence.
+type filter1k [16]uint64
+
+func (f *filter1k) add(c uint32) { f[c>>6&15] |= 1 << (c & 63) }
+
+// contains reports whether dst[:limit] already holds c, scanning only
+// when the filter does not rule c out.
+func (f *filter1k) contains(dst []uint32, c uint32, limit int) bool {
+	if f[c>>6&15]&(1<<(c&63)) == 0 {
+		return false
+	}
 	for _, prev := range dst[:limit] {
 		if prev == c {
 			return true
