@@ -1,5 +1,6 @@
 // Benchmarks regenerating every figure and comparison table of the
-// paper's evaluation (see EXPERIMENTS.md for the recorded results):
+// paper's evaluation (`go run ./cmd/damcsim -fig all` prints the same
+// sweeps as CSV):
 //
 //	BenchmarkFig8  — events sent within each group vs. alive fraction
 //	BenchmarkFig9  — intergroup events vs. alive fraction
@@ -8,7 +9,7 @@
 //	BenchmarkMsgComplexity*  — §VI-E.1 message-complexity comparison
 //	BenchmarkMemComplexity   — §VI-E.2 memory-complexity comparison
 //	BenchmarkReliability*    — §VI-E.3 reliability comparison
-//	BenchmarkAblation*       — z/g/a/c knob ablations (DESIGN.md §5)
+//	BenchmarkAblation*       — z/g/a/c knob ablations
 //	BenchmarkLivePublish     — live-runtime publish path microbench
 //
 // Each benchmark runs the paper-scale workload once per iteration and
@@ -254,7 +255,7 @@ func BenchmarkReliabilityBaselines(b *testing.B) {
 	b.ReportMetric(hc/float64(b.N), "hier-delivery")
 }
 
-// --- Ablations (DESIGN.md §5) ----------------------------------------
+// --- Ablations --------------------------------------------------------
 
 func ablate(b *testing.B, mutate func(*sim.Config)) (interMsgs, rootRel float64) {
 	b.Helper()

@@ -1,30 +1,15 @@
 package damulticast
 
-import (
-	"sync"
-
-	"damulticast/internal/core"
-	"damulticast/internal/wire"
-)
+import "sync"
 
 // The binary frame codec lives in internal/wire so that internal
 // packages (the simulator's figure generators, chiefly) can size and
 // parse real frames without importing the root package. This file
-// keeps the root-side conveniences: the pooled encode buffers the hot
-// send paths borrow, and thin aliases so the rest of the package reads
-// naturally.
-
-// codecVersion is the wire format version byte leading every frame —
-// see the internal/wire package comment for the layout and the
-// compatibility policy.
-const codecVersion = wire.Version
+// keeps the pooled encode buffers the hot send paths borrow.
 
 // maxPooledEncodeBuf bounds buffers returned to the encode pool;
 // occasional giant frames must not pin memory forever.
 const maxPooledEncodeBuf = 64 << 10
-
-// ErrCodec is the base error wrapped by all decode failures.
-var ErrCodec = wire.ErrCodec
 
 // encBuf wraps a reusable encode buffer. Pooled as a pointer so
 // Get/Put never allocate.
@@ -41,20 +26,4 @@ func putEncBuf(buf *encBuf) {
 		buf.b = buf.b[:0]
 		encPool.Put(buf)
 	}
-}
-
-// appendMessage appends the binary encoding of m to dst and returns
-// the extended slice.
-func appendMessage(dst []byte, m *core.Message) []byte {
-	return wire.AppendMessage(dst, m)
-}
-
-// encodeMessage serializes a protocol message into a fresh frame.
-func encodeMessage(m *core.Message) ([]byte, error) {
-	return wire.EncodeMessage(m)
-}
-
-// decodeMessage parses a binary frame produced by appendMessage.
-func decodeMessage(payload []byte) (*core.Message, error) {
-	return wire.DecodeMessage(payload)
 }

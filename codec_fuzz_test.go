@@ -2,6 +2,7 @@ package damulticast
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"damulticast/internal/ids"
 	"damulticast/internal/membership"
 	"damulticast/internal/topic"
+	"damulticast/internal/wire"
 )
 
 // codecSeedMessages covers every message type the wire carries,
@@ -63,7 +65,7 @@ func codecSeedMessages() []*core.Message {
 // FuzzMessageCodec asserts two properties of the binary codec over
 // arbitrary byte input:
 //
-//  1. decodeMessage never panics, and rejects malformed frames with an
+//  1. wire.DecodeMessage never panics, and rejects malformed frames with an
 //     error rather than handing garbage to the protocol;
 //  2. any frame it accepts round-trips: re-encoding the decoded
 //     message and decoding again yields a deep-equal message
@@ -75,7 +77,7 @@ func codecSeedMessages() []*core.Message {
 // must reject), and structural garbage.
 func FuzzMessageCodec(f *testing.F) {
 	for _, m := range codecSeedMessages() {
-		raw, err := encodeMessage(m)
+		raw, err := wire.EncodeMessage(m)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -85,7 +87,7 @@ func FuzzMessageCodec(f *testing.F) {
 		mut := append(raw[:0:0], raw...)
 		mut[len(mut)/2] ^= 0xff // flipped bits in the middle
 		f.Add(mut)
-		jsonRaw, err := encodeMessageJSON(m)
+		jsonRaw, err := json.Marshal(m)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -93,30 +95,30 @@ func FuzzMessageCodec(f *testing.F) {
 	}
 	f.Add([]byte("{not json"))
 	f.Add([]byte(`{}`))
-	f.Add([]byte{codecVersion})
-	f.Add([]byte{codecVersion, 0})
-	f.Add([]byte{codecVersion, 99, 0, 0, 0})
+	f.Add([]byte{wire.Version})
+	f.Add([]byte{wire.Version, 0})
+	f.Add([]byte{wire.Version, 99, 0, 0, 0})
 	f.Add([]byte{0x01, 1, 0, 0, 0})                              // retired version 1
 	f.Add([]byte{0x02, 1, 0, 0, 0})                              // retired version 2
 	f.Add([]byte{0x03, 1, 0, 0, 0})                              // retired version 3 (id-list digests)
 	f.Add([]byte{0x04, 1, 0, 0, 0})                              // retired version 4 (no EVENT_BATCH)
 	f.Add([]byte{0x06, 1, 0, 0, 0})                              // future version
-	f.Add([]byte{codecVersion, 1, 0xff, 0xff, 0xff, 0xff, 0xff}) // runaway varint
+	f.Add([]byte{wire.Version, 1, 0xff, 0xff, 0xff, 0xff, 0xff}) // runaway varint
 	f.Add([]byte(``))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := decodeMessage(data)
+		m, err := wire.DecodeMessage(data)
 		if err != nil {
 			return // rejected: fine, as long as we did not panic
 		}
 		if !m.Type.Known() {
 			t.Fatalf("decoder accepted unknown type %d", int(m.Type))
 		}
-		re, err := encodeMessage(m)
+		re, err := wire.EncodeMessage(m)
 		if err != nil {
 			t.Fatalf("re-encode of accepted frame failed: %v", err)
 		}
-		m2, err := decodeMessage(re)
+		m2, err := wire.DecodeMessage(re)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded frame failed: %v", err)
 		}
@@ -131,11 +133,11 @@ func FuzzMessageCodec(f *testing.F) {
 // field rather than only as a fixpoint).
 func TestMessageCodecRoundTripAllTypes(t *testing.T) {
 	for _, m := range codecSeedMessages() {
-		raw, err := encodeMessage(m)
+		raw, err := wire.EncodeMessage(m)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", m.Type, err)
 		}
-		got, err := decodeMessage(raw)
+		got, err := wire.DecodeMessage(raw)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", m.Type, err)
 		}
@@ -146,18 +148,16 @@ func TestMessageCodecRoundTripAllTypes(t *testing.T) {
 }
 
 // TestDecodeMessageRejectsUnknownType: garbage type fields never reach
-// the protocol, on either codec.
+// the protocol, whether they arrive in legacy JSON frames or in
+// binary ones.
 func TestDecodeMessageRejectsUnknownType(t *testing.T) {
 	for _, frame := range []string{`{}`, `{"Type":0}`, `{"Type":-3}`, `{"Type":999}`} {
-		if _, err := decodeMessage([]byte(frame)); err == nil {
+		if _, err := wire.DecodeMessage([]byte(frame)); err == nil {
 			t.Errorf("frame %s accepted by binary decoder", frame)
 		}
-		if _, err := decodeMessageJSON([]byte(frame)); err == nil {
-			t.Errorf("frame %s accepted by JSON decoder", frame)
-		}
 	}
-	for _, frame := range [][]byte{{codecVersion, 0}, {codecVersion, 99}, {codecVersion, 0xb}} {
-		if _, err := decodeMessage(frame); err == nil {
+	for _, frame := range [][]byte{{wire.Version, 0}, {wire.Version, 99}, {wire.Version, 0xb}} {
+		if _, err := wire.DecodeMessage(frame); err == nil {
 			t.Errorf("binary frame % x accepted", frame)
 		}
 	}
@@ -171,12 +171,12 @@ func TestEncodeDecodePayloadAliasing(t *testing.T) {
 		Type: core.MsgEvent, From: "p",
 		Event: &core.Event{ID: ids.EventID{Origin: "p", Seq: 1}, Topic: ".t", Payload: payload},
 	}
-	raw, err := encodeMessage(m)
+	raw, err := wire.EncodeMessage(m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload[0] = 'X'
-	got, err := decodeMessage(raw)
+	got, err := wire.DecodeMessage(raw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,11 +18,11 @@ import (
 func TestDecoderMatchesDecodeMessage(t *testing.T) {
 	dec := wire.NewDecoder()
 	for _, m := range codecSeedMessages() {
-		frame, err := encodeMessage(m)
+		frame, err := wire.EncodeMessage(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := decodeMessage(frame)
+		want, err := wire.DecodeMessage(frame)
 		if err != nil {
 			t.Fatalf("%s: DecodeMessage: %v", m.Type, err)
 		}
@@ -40,7 +40,7 @@ func TestDecoderMatchesDecodeMessage(t *testing.T) {
 // versions and trailing garbage fail identically on the pooled path.
 func TestDecoderRejectsWhatDecodeMessageRejects(t *testing.T) {
 	dec := wire.NewDecoder()
-	frame, err := encodeMessage(codecSeedMessages()[0])
+	frame, err := wire.EncodeMessage(codecSeedMessages()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +70,11 @@ func TestDecoderRejectsWhatDecodeMessageRejects(t *testing.T) {
 // buffer instead of copying.
 func TestDecoderScratchContract(t *testing.T) {
 	dec := wire.NewDecoder()
-	frameA, _ := encodeMessage(&core.Message{
+	frameA, _ := wire.EncodeMessage(&core.Message{
 		Type: core.MsgEvent, From: "a", FromTopic: ".t", Dest: ".t",
 		Event: &core.Event{ID: ids.EventID{Origin: "a", Seq: 1}, Topic: ".t", Payload: []byte("AAAA")},
 	})
-	frameB, _ := encodeMessage(&core.Message{Type: core.MsgPing, From: "b", FromTopic: ".t", Dest: ".t"})
+	frameB, _ := wire.EncodeMessage(&core.Message{Type: core.MsgPing, From: "b", FromTopic: ".t", Dest: ".t"})
 
 	m1, err := dec.Decode(frameA)
 	if err != nil {
@@ -116,7 +116,7 @@ func batchFrame(tb testing.TB, n int) []byte {
 			Payload: []byte(fmt.Sprintf("batch-payload-%03d-xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx", i)),
 		}
 	}
-	frame, err := encodeMessage(&core.Message{
+	frame, err := wire.EncodeMessage(&core.Message{
 		Type: core.MsgEventBatch, From: "publisher", FromTopic: ".bench", Dest: ".bench", Events: evs,
 	})
 	if err != nil {
@@ -132,7 +132,7 @@ func batchFrame(tb testing.TB, n int) []byte {
 // for the allocating path on even the single-event frame.
 func TestDecodePooledAllocs(t *testing.T) {
 	dec := wire.NewDecoder()
-	single, err := encodeMessage(codecBenchMessage())
+	single, err := wire.EncodeMessage(codecBenchMessage())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestDecodePooledAllocs(t *testing.T) {
 // at the prefix, and never allocates.
 func TestPeekDest(t *testing.T) {
 	for _, m := range codecSeedMessages() {
-		frame, err := encodeMessage(m)
+		frame, err := wire.EncodeMessage(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,15 +178,15 @@ func TestPeekDest(t *testing.T) {
 		[]byte("garbage"),
 		[]byte(`{"Type":1}`),
 		{0x04, 1, 0},         // retired version
-		{codecVersion},       // truncated before the type
-		{codecVersion, 0},    // unknown type
-		{codecVersion, 1, 9}, // dest length past the end
+		{wire.Version},       // truncated before the type
+		{wire.Version, 0},    // unknown type
+		{wire.Version, 1, 9}, // dest length past the end
 	} {
 		if _, _, err := wire.PeekDest(bad); err == nil {
 			t.Errorf("PeekDest accepted % x", bad)
 		}
 	}
-	frame, _ := encodeMessage(codecBenchMessage())
+	frame, _ := wire.EncodeMessage(codecBenchMessage())
 	if allocs := testing.AllocsPerRun(200, func() {
 		if _, _, err := wire.PeekDest(frame); err != nil {
 			t.Fatal(err)
@@ -199,7 +199,7 @@ func TestPeekDest(t *testing.T) {
 // BenchmarkCodecDecodePooled is the steady-state receive path: one
 // pooled decoder, one live event frame, zero expected allocations.
 func BenchmarkCodecDecodePooled(b *testing.B) {
-	frame, err := encodeMessage(codecBenchMessage())
+	frame, err := wire.EncodeMessage(codecBenchMessage())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,11 +1,14 @@
 package damulticast
 
 import (
+	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"damulticast/internal/core"
 	"damulticast/internal/ids"
+	"damulticast/internal/wire"
 )
 
 // nullTransport swallows frames: the encode-side microscope. Send does
@@ -18,12 +21,21 @@ func (t *nullTransport) Send(string, []byte) error       { return nil }
 func (t *nullTransport) SetHandler(func(payload []byte)) {}
 func (t *nullTransport) Close() error                    { return nil }
 
-// fanoutFixture builds a node over a null transport plus a
-// representative event message and target list.
+// fanoutFixture builds a subscription over a null transport plus a
+// representative event message and target list. The hub is stopped
+// before it is returned: the send path needs no loop, and a quiet hub
+// keeps allocation counts exact.
 func fanoutFixture(t testing.TB, targets int) (*subEnv, []ids.ProcessID, *core.Message) {
 	t.Helper()
-	n, err := NewNode(Config{Topic: ".bench", Transport: &nullTransport{addr: "null"}})
+	h, err := NewHub(&nullTransport{addr: "null"})
 	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := h.Join(context.Background(), ".bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Stop(); err != nil {
 		t.Fatal(err)
 	}
 	tgts := make([]ids.ProcessID, targets)
@@ -38,7 +50,7 @@ func fanoutFixture(t testing.TB, targets int) (*subEnv, []ids.ProcessID, *core.M
 			Payload: []byte("benchmark-payload-64-bytes-xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"),
 		},
 	}
-	return (*subEnv)(n.sub), tgts, m
+	return (*subEnv)(sub), tgts, m
 }
 
 // TestEncodeOnceFanoutAllocs is the allocation regression gate for the
@@ -60,7 +72,7 @@ func TestEncodeOnceFanoutAllocs(t *testing.T) {
 	// The replaced path: one JSON encoding per target.
 	jsonAllocs := testing.AllocsPerRun(200, func() {
 		for range targets {
-			if _, err := encodeMessageJSON(m); err != nil {
+			if _, err := json.Marshal(m); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -82,16 +94,16 @@ func TestSingleSendAllocs(t *testing.T) {
 }
 
 // TestBinaryRejectsJSONFrame / TestJSONRejectsBinaryFrame pin the
-// compatibility policy: the version byte cleanly separates the codecs,
-// so a version-0 (JSON) peer and a version-1 (binary) peer can never
-// silently misparse each other.
+// compatibility policy: the version byte cleanly separates the binary
+// codec from the legacy JSON encoding (format version 0, json.Marshal
+// of the message), so the two can never silently misparse each other.
 func TestBinaryRejectsJSONFrame(t *testing.T) {
 	for _, m := range codecSeedMessages() {
-		frame, err := encodeMessageJSON(m)
+		frame, err := json.Marshal(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := decodeMessage(frame); err == nil {
+		if _, err := wire.DecodeMessage(frame); err == nil {
 			t.Errorf("%s: binary decoder accepted a JSON frame", m.Type)
 		}
 	}
@@ -99,11 +111,13 @@ func TestBinaryRejectsJSONFrame(t *testing.T) {
 
 func TestJSONRejectsBinaryFrame(t *testing.T) {
 	for _, m := range codecSeedMessages() {
-		frame, err := encodeMessage(m)
+		frame, err := wire.EncodeMessage(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := decodeMessageJSON(frame); err == nil {
+		// The leading version byte can never open a JSON document.
+		var got core.Message
+		if err := json.Unmarshal(frame, &got); err == nil {
 			t.Errorf("%s: JSON decoder accepted a binary frame", m.Type)
 		}
 	}
@@ -113,12 +127,12 @@ func TestJSONRejectsBinaryFrame(t *testing.T) {
 // be rejected, never panic, never decode.
 func TestDecodeTruncatedFrames(t *testing.T) {
 	for _, m := range codecSeedMessages() {
-		frame, err := encodeMessage(m)
+		frame, err := wire.EncodeMessage(m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for cut := 0; cut < len(frame); cut++ {
-			if _, err := decodeMessage(frame[:cut]); err == nil {
+			if _, err := wire.DecodeMessage(frame[:cut]); err == nil {
 				t.Fatalf("%s: truncation to %d of %d bytes accepted", m.Type, cut, len(frame))
 			}
 		}
@@ -128,11 +142,11 @@ func TestDecodeTruncatedFrames(t *testing.T) {
 // TestDecodeTrailingGarbage: extra bytes after a complete message are
 // rejected (frames are exact).
 func TestDecodeTrailingGarbage(t *testing.T) {
-	frame, err := encodeMessage(&core.Message{Type: core.MsgPing, From: "p"})
+	frame, err := wire.EncodeMessage(&core.Message{Type: core.MsgPing, From: "p"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeMessage(append(frame, 0x00)); err == nil {
+	if _, err := wire.DecodeMessage(append(frame, 0x00)); err == nil {
 		t.Error("trailing byte accepted")
 	}
 }
@@ -144,15 +158,15 @@ func TestDecodeOversizedCounts(t *testing.T) {
 	// version, type=MsgReqContact, empty Dest/From/FromTopic, no
 	// event, empty Origin/OriginTopic, then a search-topic count of
 	// 2^40.
-	frame := []byte{codecVersion, byte(core.MsgReqContact), 0, 0, 0, 0, 0, 0,
+	frame := []byte{wire.Version, byte(core.MsgReqContact), 0, 0, 0, 0, 0, 0,
 		0x80, 0x80, 0x80, 0x80, 0x80, 0x20} // uvarint(1<<40)
-	if _, err := decodeMessage(frame); err == nil {
+	if _, err := wire.DecodeMessage(frame); err == nil {
 		t.Error("absurd element count accepted")
 	}
 	// A string field (the dest demux) claiming 100 bytes in a tiny
 	// frame.
-	frame = []byte{codecVersion, byte(core.MsgPing), 100, 'x', 'y', 'z'}
-	if _, err := decodeMessage(frame); err == nil {
+	frame = []byte{wire.Version, byte(core.MsgPing), 100, 'x', 'y', 'z'}
+	if _, err := wire.DecodeMessage(frame); err == nil {
 		t.Error("oversized string length accepted")
 	}
 }
@@ -160,20 +174,20 @@ func TestDecodeOversizedCounts(t *testing.T) {
 // TestDecodeBadVersionAndType: other versions (the retired versions
 // 1-4 as well as future ones) and unknown types are refused outright.
 func TestDecodeBadVersionAndType(t *testing.T) {
-	good, err := encodeMessage(&core.Message{Type: core.MsgPong, From: "p"})
+	good, err := wire.EncodeMessage(&core.Message{Type: core.MsgPong, From: "p"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, version := range []byte{0x01, 0x02, 0x03, 0x04, 0x06} {
 		bad := append([]byte{}, good...)
 		bad[0] = version
-		if _, err := decodeMessage(bad); err == nil {
+		if _, err := wire.DecodeMessage(bad); err == nil {
 			t.Errorf("version byte %#x accepted", version)
 		}
 	}
 	for _, typ := range []uint64{0, 13, 15, 99} {
-		frame := append([]byte{codecVersion, byte(typ)}, good[2:]...)
-		if _, err := decodeMessage(frame); err == nil {
+		frame := append([]byte{wire.Version, byte(typ)}, good[2:]...)
+		if _, err := wire.DecodeMessage(frame); err == nil {
 			t.Errorf("unknown type %d accepted", typ)
 		}
 	}
@@ -195,13 +209,13 @@ func TestDecodeRejectsRetiredVersionFrames(t *testing.T) {
 		if m.Dest != "" || m.BloomBits != nil || len(m.Events) > 0 {
 			continue // only zero-dest empty-tail frames shrink to the old layouts
 		}
-		frame, err := encodeMessage(m)
+		frame, err := wire.EncodeMessage(m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		v4 := append([]byte{}, frame...)
 		v4[0] = 0x04
-		if _, err := decodeMessage(v4); err == nil {
+		if _, err := wire.DecodeMessage(v4); err == nil {
 			t.Errorf("%s: version-4 frame accepted", m.Type)
 		}
 		// The frame tail is superTopic(0) bloom(0,0,0) events(0); the
@@ -209,18 +223,18 @@ func TestDecodeRejectsRetiredVersionFrames(t *testing.T) {
 		// zero bytes.
 		v3 := append([]byte{}, frame[:len(frame)-2]...)
 		v3[0] = 0x03
-		if _, err := decodeMessage(v3); err == nil {
+		if _, err := wire.DecodeMessage(v3); err == nil {
 			t.Errorf("%s: version-3 frame accepted", m.Type)
 		}
 		v2 := append([]byte{}, v3[:2]...) // version + 1-byte type
 		v2 = append(v2, v3[3:]...)        // skip the empty dest
 		v2[0] = 0x02
-		if _, err := decodeMessage(v2); err == nil {
+		if _, err := wire.DecodeMessage(v2); err == nil {
 			t.Errorf("%s: version-2 frame accepted", m.Type)
 		}
 		v1 := append([]byte{}, v2[:len(v2)-2]...)
 		v1[0] = 0x01
-		if _, err := decodeMessage(v1); err == nil {
+		if _, err := wire.DecodeMessage(v1); err == nil {
 			t.Errorf("%s: version-1 frame accepted", m.Type)
 		}
 	}
@@ -244,66 +258,31 @@ func BenchmarkCodecEncode(b *testing.B) {
 	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf = appendMessage(buf[:0], m)
+		buf = wire.AppendMessage(buf[:0], m)
 	}
 	_ = buf
 }
 
-func BenchmarkCodecEncodeJSON(b *testing.B) {
-	m := codecBenchMessage()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := encodeMessageJSON(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCodecDecode(b *testing.B) {
-	frame, err := encodeMessage(codecBenchMessage())
+	frame, err := wire.EncodeMessage(codecBenchMessage())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := decodeMessage(frame); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCodecDecodeJSON(b *testing.B) {
-	frame, err := encodeMessageJSON(codecBenchMessage())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := decodeMessageJSON(frame); err != nil {
+		if _, err := wire.DecodeMessage(frame); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkCodecFanout8 measures a full 8-target event broadcast on
-// the encode-once path (vs the per-target JSON encode it replaced).
+// the encode-once path.
 func BenchmarkCodecFanout8(b *testing.B) {
 	env, targets, m := fanoutFixture(b, 8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		env.SendBatch(targets, m)
-	}
-}
-
-func BenchmarkCodecFanout8JSON(b *testing.B) {
-	_, targets, m := fanoutFixture(b, 8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for range targets {
-			if _, err := encodeMessageJSON(m); err != nil {
-				b.Fatal(err)
-			}
-		}
 	}
 }
 
@@ -317,8 +296,8 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf = appendMessage(buf[:0], m)
-		if _, err := decodeMessage(buf); err != nil {
+		buf = wire.AppendMessage(buf[:0], m)
+		if _, err := wire.DecodeMessage(buf); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -51,7 +51,6 @@ type Hub struct {
 	tick      time.Duration
 	eventBuf  int
 	overflow  OverflowPolicy
-	baseCtx   context.Context
 	loopCtx   context.Context
 
 	inbox   chan []byte
@@ -59,7 +58,6 @@ type Hub struct {
 	joinCh  chan joinReq
 	leaveCh chan leaveReq
 
-	started atomic.Bool
 	stopped atomic.Bool
 	done    chan struct{}
 	cancel  context.CancelFunc
@@ -130,19 +128,6 @@ type leaveReq struct {
 // returned hub is live: Join subscriptions next. Stop releases the
 // transport.
 func NewHub(transport Transport, opts ...HubOption) (*Hub, error) {
-	h, err := newHub(transport, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if err := h.start(h.baseCtx); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-// newHub validates configuration and builds a stopped hub (the Node
-// adapter starts it at Node.Start; NewHub starts it immediately).
-func newHub(transport Transport, opts ...HubOption) (*Hub, error) {
 	if transport == nil {
 		return nil, ErrNoTransport
 	}
@@ -167,7 +152,8 @@ func newHub(transport Transport, opts ...HubOption) (*Hub, error) {
 	if cfg.eventBuf <= 0 {
 		cfg.eventBuf = 256
 	}
-	return &Hub{
+	ctx, cancel := context.WithCancel(cfg.ctx)
+	h := &Hub{
 		transport: transport,
 		id:        ids.ProcessID(cfg.id),
 		params:    cfg.params,
@@ -175,14 +161,18 @@ func newHub(transport Transport, opts ...HubOption) (*Hub, error) {
 		tick:      cfg.tick,
 		eventBuf:  cfg.eventBuf,
 		overflow:  cfg.overflow,
-		baseCtx:   cfg.ctx,
+		loopCtx:   ctx,
 		inbox:     make(chan []byte, 1024),
 		pubCh:     make(chan pubReq),
 		joinCh:    make(chan joinReq),
 		leaveCh:   make(chan leaveReq),
 		done:      make(chan struct{}),
+		cancel:    cancel,
 		subs:      make(map[topic.Topic]*Subscription),
-	}, nil
+	}
+	transport.SetHandler(h.onRaw)
+	go h.loop(ctx)
+	return h, nil
 }
 
 // ID returns the hub's process id (shared by all its subscriptions).
@@ -191,26 +181,9 @@ func (h *Hub) ID() string { return string(h.id) }
 // Addr returns the transport address peers reach this hub at.
 func (h *Hub) Addr() string { return h.transport.Addr() }
 
-// start launches the inbox loop. The hub stops when ctx is cancelled
-// or Stop is called.
-func (h *Hub) start(ctx context.Context) error {
-	if !h.started.CompareAndSwap(false, true) {
-		return ErrAlreadyStarted
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	h.cancel = cancel
-	h.loopCtx = ctx
-	h.transport.SetHandler(h.onRaw)
-	go h.loop(ctx)
-	return nil
-}
-
 // Stop terminates the hub: every subscription's delivery channel is
 // closed and the transport is released. Safe to call multiple times.
 func (h *Hub) Stop() error {
-	if !h.started.Load() {
-		return ErrNotRunning
-	}
 	if !h.stopped.CompareAndSwap(false, true) {
 		return nil
 	}
@@ -230,20 +203,6 @@ func (h *Hub) Join(ctx context.Context, topicStr string, opts ...JoinOption) (*S
 	for _, o := range opts {
 		o.applyJoin(&jc)
 	}
-	sub, err := h.prepare(topicStr, jc)
-	if err != nil {
-		return nil, err
-	}
-	if err := h.register(ctx, sub); err != nil {
-		return nil, err
-	}
-	return sub, nil
-}
-
-// prepare validates a join and builds the subscription with its
-// protocol process, without touching the loop (the Node adapter
-// prepares at NewNode and registers at Start).
-func (h *Hub) prepare(topicStr string, jc joinConfig) (*Subscription, error) {
 	tp, err := topic.Parse(topicStr)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidTopic, err)
@@ -320,30 +279,36 @@ func (h *Hub) prepare(topicStr string, jc joinConfig) (*Subscription, error) {
 	// Bootstrap: without provided super contacts, search for them once
 	// the subscription registers with the loop.
 	sub.findSuper = !tp.IsRoot() && len(jc.superContacts) == 0
-	return sub, nil
-}
 
-// register hands a prepared subscription to the loop. ctx bounds the
-// wait for the loop to accept the request; once accepted, registration
-// completes promptly.
-func (h *Hub) register(ctx context.Context, sub *Subscription) error {
-	if !h.started.Load() {
-		return ErrNotRunning
-	}
+	// Hand the subscription to the loop. Once the loop accepts the
+	// request, registration completes promptly.
 	req := joinReq{sub: sub, reply: make(chan error, 1)}
 	select {
 	case h.joinCh <- req:
 	case <-ctx.Done():
-		return ctx.Err()
+		return nil, ctx.Err()
 	case <-h.done:
-		return ErrNotRunning
+		return nil, ErrNotRunning
 	}
 	select {
 	case err := <-req.reply:
-		return err
+		if err != nil {
+			return nil, err
+		}
+		return sub, nil
 	case <-h.done:
-		return ErrNotRunning
+		return nil, ErrNotRunning
 	}
+}
+
+// hashString is a tiny FNV-style hash for default seeding.
+func hashString(s string) int64 {
+	var h uint64 = 14695981039346656037
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return int64(h & 0x7fffffffffffffff)
 }
 
 // onRaw is the transport receive callback: validate the frame's
@@ -729,9 +694,6 @@ func (s *Subscription) PublishBatch(ctx context.Context, payloads [][]byte) ([]s
 
 func (s *Subscription) publish(ctx context.Context, req pubReq) (pubResult, error) {
 	h := s.hub
-	if !h.started.Load() {
-		return pubResult{}, ErrNotRunning
-	}
 	req.reply = make(chan pubResult, 1)
 	select {
 	case h.pubCh <- req:
@@ -766,9 +728,6 @@ func (s *Subscription) publish(ctx context.Context, req pubReq) (pubResult, erro
 // ErrNotRunning.
 func (s *Subscription) Leave(ctx context.Context) error {
 	h := s.hub
-	if !h.started.Load() {
-		return ErrNotRunning
-	}
 	req := leaveReq{sub: s, reply: make(chan error, 1)}
 	select {
 	case h.leaveCh <- req:
@@ -875,7 +834,7 @@ type subEnv Subscription
 
 func (e *subEnv) Send(to ids.ProcessID, m *core.Message) {
 	buf := getEncBuf()
-	buf.b = appendMessage(buf.b, m)
+	buf.b = wire.AppendMessage(buf.b, m)
 	// Transport errors are best-effort losses by design. Transports
 	// must not retain the payload, so the buffer is safe to reuse.
 	_ = e.hub.transport.Send(string(to), buf.b)
@@ -886,7 +845,7 @@ func (e *subEnv) Send(to ids.ProcessID, m *core.Message) {
 // exactly once, and the same pooled frame goes out to every target.
 func (e *subEnv) SendBatch(targets []ids.ProcessID, m *core.Message) {
 	buf := getEncBuf()
-	buf.b = appendMessage(buf.b, m)
+	buf.b = wire.AppendMessage(buf.b, m)
 	for _, to := range targets {
 		_ = e.hub.transport.Send(string(to), buf.b)
 	}

@@ -421,7 +421,7 @@ func TestHubJoinValidation(t *testing.T) {
 	if _, err := hub.Join(ctx, ".a"); !errors.Is(err, ErrDuplicateTopic) {
 		t.Errorf("duplicate join err = %v, want ErrDuplicateTopic", err)
 	}
-	// NewHub without a transport fails like NewNode.
+	// NewHub without a transport fails with the typed sentinel.
 	if _, err := NewHub(nil); !errors.Is(err, ErrNoTransport) {
 		t.Errorf("nil transport err = %v, want ErrNoTransport", err)
 	}

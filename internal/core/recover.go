@@ -138,7 +138,7 @@ type RecoveryStats struct {
 
 // recoveryCounters is the internal, atomically-updated form of
 // RecoveryStats: the owning goroutine increments, any goroutine may
-// snapshot (the live Node reads stats from outside the protocol loop).
+// snapshot (the live hub reads stats from outside the protocol loop).
 type recoveryCounters struct {
 	recovered  atomic.Uint64
 	suppressed atomic.Uint64

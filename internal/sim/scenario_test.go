@@ -263,10 +263,7 @@ func TestFigureChurnSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-size sweep")
 	}
-	fig, err := FigureChurn([]float64{0.5, 1.0}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := serialFigure(t, "churn", []float64{0.5, 1.0})
 	if len(fig.Rows) != 2 {
 		t.Fatalf("rows = %d", len(fig.Rows))
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -383,15 +384,24 @@ func TestDefaultAliveFractions(t *testing.T) {
 	}
 }
 
+// serialFigure runs one figure sweep with one run per point on a
+// single sweep worker.
+func serialFigure(t *testing.T, name string, xs []float64) *Figure {
+	t.Helper()
+	fig, _, err := GenerateFigure(context.Background(), name, xs,
+		FigureOpts{RunsPerPoint: 1, SweepWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fig
+}
+
 func TestFigureSweepsSmall(t *testing.T) {
 	// Use tiny sweeps over the small config by temporarily running the
 	// real figure code paths on two alive fractions (the paper-size
 	// config is exercised by the benchmarks).
 	alives := []float64{0.5, 1.0}
-	fig8, err := Figure8(alives, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig8 := serialFigure(t, "fig8", alives)
 	if len(fig8.Rows) != 2 || len(fig8.Series) != 3 {
 		t.Errorf("fig8 rows=%d series=%v", len(fig8.Rows), fig8.Series)
 	}
@@ -408,10 +418,7 @@ func TestFigureSweepsSmall(t *testing.T) {
 		t.Errorf("csv lines = %d", lines)
 	}
 
-	fig9, err := Figure9(alives, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig9 := serialFigure(t, "fig9", alives)
 	if len(fig9.Series) == 0 {
 		t.Error("fig9 has no series")
 	}
@@ -421,10 +428,7 @@ func TestFigureSweepsSmall(t *testing.T) {
 		}
 	}
 
-	fig10, err := Figure10(alives, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig10 := serialFigure(t, "fig10", alives)
 	for _, row := range fig10.Rows {
 		for s, v := range row.Values {
 			if v < 0 || v > 1 {
@@ -437,10 +441,7 @@ func TestFigureSweepsSmall(t *testing.T) {
 		t.Errorf("fig10 T2 at alive=1 = %g", v)
 	}
 
-	fig11, err := Figure11(alives, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig11 := serialFigure(t, "fig11", alives)
 	// Weakly consistent failures beat stillborn at alive=0.5 for T2.
 	if fig11.Rows[0].Values["T2"] < fig10.Rows[0].Values["T2"]-0.05 {
 		t.Errorf("fig11 (%g) worse than fig10 (%g) at alive=0.5",

@@ -455,41 +455,3 @@ func GenerateFigure(ctx context.Context, name string, xs []float64, opts FigureO
 		Rows:   rows,
 	}, report, nil
 }
-
-// legacyFigure preserves the original serial-sweep entry points on top
-// of the orchestrator.
-func legacyFigure(name string, xs []float64, runsPerPoint int) (*Figure, error) {
-	fig, _, err := GenerateFigure(context.Background(), name, xs,
-		FigureOpts{RunsPerPoint: runsPerPoint, SweepWorkers: 1})
-	return fig, err
-}
-
-// Figure8 regenerates "Number of events sent in each group" vs. alive
-// fraction (stillborn failures).
-func Figure8(alives []float64, runsPerPoint int) (*Figure, error) {
-	return legacyFigure("fig8", alives, runsPerPoint)
-}
-
-// Figure9 regenerates "Number of intergroup events" vs. alive fraction
-// (stillborn failures): series T2->T1 and T1->T0.
-func Figure9(alives []float64, runsPerPoint int) (*Figure, error) {
-	return legacyFigure("fig9", alives, runsPerPoint)
-}
-
-// Figure10 regenerates reliability under stillborn failures.
-func Figure10(alives []float64, runsPerPoint int) (*Figure, error) {
-	return legacyFigure("fig10", alives, runsPerPoint)
-}
-
-// Figure11 regenerates reliability under per-observer (weakly
-// consistent) failures.
-func Figure11(alives []float64, runsPerPoint int) (*Figure, error) {
-	return legacyFigure("fig11", alives, runsPerPoint)
-}
-
-// FigureChurn goes beyond the paper: it sweeps the size of a crash
-// wave hitting the publish group two rounds into dissemination and
-// reports each group's delivered fraction (see churnSpec).
-func FigureChurn(survives []float64, runsPerPoint int) (*Figure, error) {
-	return legacyFigure("churn", survives, runsPerPoint)
-}

@@ -42,22 +42,18 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestSweepLegacyEquivalence pins the serial wrappers to the
-// orchestrator: Figure8 must equal GenerateFigure("fig8") at any
-// worker count.
+// TestSweepLegacyEquivalence pins the serial sweep to the parallel
+// orchestrator: fig8 on one sweep worker must equal fig8 on four.
 func TestSweepLegacyEquivalence(t *testing.T) {
 	xs := []float64{1.0}
-	legacy, err := Figure8(xs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := serialFigure(t, "fig8", xs)
 	fig, _, err := GenerateFigure(context.Background(), "fig8", xs,
 		FigureOpts{RunsPerPoint: 1, SweepWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(legacy, fig) {
-		t.Errorf("legacy Figure8 differs from orchestrated sweep:\n%s\nvs\n%s", legacy.CSV(), fig.CSV())
+	if !reflect.DeepEqual(serial, fig) {
+		t.Errorf("serial fig8 differs from orchestrated sweep:\n%s\nvs\n%s", serial.CSV(), fig.CSV())
 	}
 }
 

@@ -9,40 +9,31 @@ import (
 	"time"
 
 	"damulticast/internal/core"
+	"damulticast/internal/wire"
 )
 
 // TestRacePublishDuringStop is the liveness gate for Publish and
 // Leave racing Stop: every publisher must return promptly — with a
 // published id, ErrNotRunning, or core.ErrStopped — no matter how the
-// shutdown interleaves. The reply/ack waits are guarded by n.done
-// (see Publish); this hammer keeps that guarantee from regressing if
-// the loop's channel discipline ever changes.
+// shutdown interleaves. The reply/ack waits are guarded by the hub's
+// done channel (see Subscription.publish); this hammer keeps that
+// guarantee from regressing if the loop's channel discipline ever
+// changes.
 func TestRacePublishDuringStop(t *testing.T) {
+	ctx := context.Background()
 	for round := 0; round < 25; round++ {
 		net := NewMemNetwork()
-		n, err := NewNode(Config{
-			ID:           "solo",
-			Topic:        ".x",
-			Transport:    net.NewTransport("solo"),
-			Params:       liveParams(),
-			TickInterval: time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := n.Start(context.Background()); err != nil {
-			t.Fatal(err)
-		}
+		sub := startNode(t, net.NewTransport("solo"), ".x", liveParams(), time.Millisecond)
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for {
-					if _, err := n.Publish([]byte("spin")); err != nil {
-						// ErrNotRunning when the node stopped first;
-						// core.ErrStopped when the loop serviced the
-						// publish after Leave stopped the process.
+					if _, err := sub.Publish(ctx, []byte("spin")); err != nil {
+						// ErrNotRunning when the hub stopped first or
+						// the loop serviced the publish after Leave
+						// stopped the process.
 						if !errors.Is(err, ErrNotRunning) && !errors.Is(err, core.ErrStopped) {
 							t.Errorf("publish error = %v", err)
 						}
@@ -51,15 +42,17 @@ func TestRacePublishDuringStop(t *testing.T) {
 				}
 			}()
 		}
-		// A concurrent Leave exercises the same shutdown race on the
-		// ack channel.
+		// A concurrent Leave-then-Stop exercises the same shutdown race
+		// on the ack channel.
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = n.Leave()
+			if sub.Leave(ctx) == nil {
+				_ = sub.hub.Stop()
+			}
 		}()
 		time.Sleep(time.Duration(rand.Intn(3)) * time.Millisecond)
-		if err := n.Stop(); err != nil {
+		if err := sub.hub.Stop(); err != nil {
 			t.Fatal(err)
 		}
 		wg.Wait() // deadlocks here without the done-channel escape
@@ -68,11 +61,16 @@ func TestRacePublishDuringStop(t *testing.T) {
 
 // TestDroppedFramesCounted feeds the receive path garbage and floods
 // the inbox of a stopped loop: both loss classes must be counted and
-// surfaced by DroppedFrames/Stats instead of vanishing silently.
+// surfaced by Stats instead of vanishing silently.
 func TestDroppedFramesCounted(t *testing.T) {
 	net := NewMemNetwork()
-	n, err := NewNode(Config{ID: "sink", Topic: ".x", Transport: net.NewTransport("sink")})
+	hub, err := NewHub(net.NewTransport("sink"))
 	if err != nil {
+		t.Fatal(err)
+	}
+	// A stopped hub's loop no longer drains the inbox, so the overflow
+	// count below is exact.
+	if err := hub.Stop(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -82,7 +80,7 @@ func TestDroppedFramesCounted(t *testing.T) {
 	// (Frames with a valid prefix but broken body are counted too, at
 	// the loop's full decode; TestGarbageFramesOverTransport covers
 	// that end to end.)
-	valid, err := encodeMessage(&core.Message{Type: core.MsgPing, From: "peer", FromTopic: ".x"})
+	valid, err := wire.EncodeMessage(&core.Message{Type: core.MsgPing, From: "peer", FromTopic: ".x"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,49 +90,36 @@ func TestDroppedFramesCounted(t *testing.T) {
 		valid[:1],
 		{},
 	} {
-		n.onRaw(frame)
+		hub.onRaw(frame)
 	}
-	if got := n.MalformedFrames(); got != 4 {
+	if got := hub.Stats().MalformedFrames; got != 4 {
 		t.Errorf("MalformedFrames = %d, want 4", got)
 	}
 
-	// Overflow: the node is not started, so nothing drains the inbox;
-	// filling it past capacity must count overflow drops.
-	overflow := cap(n.inbox) + 7
+	// Overflow: filling the undrained inbox past capacity must count
+	// overflow drops.
+	overflow := cap(hub.inbox) + 7
 	for i := 0; i < overflow; i++ {
-		n.onRaw(valid)
+		hub.onRaw(valid)
 	}
-	stats := n.Stats()
+	stats := hub.Stats()
 	if stats.OverflowFrames != 7 {
 		t.Errorf("OverflowFrames = %d, want 7", stats.OverflowFrames)
 	}
 	if stats.MalformedFrames != 4 {
 		t.Errorf("Stats().MalformedFrames = %d, want 4", stats.MalformedFrames)
 	}
-	if got, want := n.DroppedFrames(), int64(4+7); got != want {
-		t.Errorf("DroppedFrames = %d, want %d", got, want)
+	if got, want := stats.MalformedFrames+stats.OverflowFrames, int64(4+7); got != want {
+		t.Errorf("dropped frames = %d, want %d", got, want)
 	}
 }
 
 // TestGarbageFramesOverTransport covers the same counter end-to-end: a
 // peer speaking garbage over the shared fabric is counted, not
-// crashed on, and the node keeps working.
+// crashed on, and the hub keeps working.
 func TestGarbageFramesOverTransport(t *testing.T) {
 	net := NewMemNetwork()
-	n, err := NewNode(Config{
-		ID:           "victim",
-		Topic:        ".x",
-		Transport:    net.NewTransport("victim"),
-		Params:       liveParams(),
-		TickInterval: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = n.Stop() })
+	sub := startNode(t, net.NewTransport("victim"), ".x", liveParams(), time.Millisecond)
 
 	attacker := net.NewTransport("attacker")
 	for i := 0; i < 5; i++ {
@@ -143,18 +128,18 @@ func TestGarbageFramesOverTransport(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for n.MalformedFrames() < 5 {
+	for sub.hub.Stats().MalformedFrames < 5 {
 		if time.Now().After(deadline) {
-			t.Fatalf("malformed frames = %d, want 5", n.MalformedFrames())
+			t.Fatalf("malformed frames = %d, want 5", sub.hub.Stats().MalformedFrames)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if _, err := n.Publish([]byte("still alive")); err != nil {
-		t.Errorf("node unusable after garbage: %v", err)
+	if _, err := sub.Publish(context.Background(), []byte("still alive")); err != nil {
+		t.Errorf("hub unusable after garbage: %v", err)
 	}
 }
 
-// TestLiveRecoveryPullsMissedEvent: a node that joins after a
+// TestLiveRecoveryPullsMissedEvent: a subscription that joins after a
 // publication pulls the missed event from a group mate's store via the
 // anti-entropy exchange — delivery of an event that was never sent to
 // it.
@@ -163,45 +148,18 @@ func TestLiveRecoveryPullsMissedEvent(t *testing.T) {
 	params.RecoverPeriod = 1
 	params.RecoverMaxAge = 100000 // the store must outlive test scheduling
 	net := NewMemNetwork()
-	ctx := context.Background()
 
-	holder, err := NewNode(Config{
-		ID:           "holder",
-		Topic:        ".room",
-		Transport:    net.NewTransport("holder"),
-		Params:       params,
-		TickInterval: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := holder.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = holder.Stop() })
+	holder := startNode(t, net.NewTransport("holder"), ".room", params, 5*time.Millisecond)
 
 	// Publish while the late joiner does not exist yet: this event can
 	// only ever reach it through recovery.
-	missedID, err := holder.Publish([]byte("you missed this"))
+	missedID, err := holder.Publish(context.Background(), []byte("you missed this"))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	late, err := NewNode(Config{
-		ID:            "late",
-		Topic:         ".room",
-		Transport:     net.NewTransport("late"),
-		Params:        params,
-		GroupContacts: []string{"holder"},
-		TickInterval:  5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := late.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = late.Stop() })
+	late := startNode(t, net.NewTransport("late"), ".room", params, 5*time.Millisecond,
+		WithGroupContacts("holder"))
 
 	select {
 	case ev := <-late.Events():

@@ -17,90 +17,90 @@ func liveParams() Params {
 	return p
 }
 
+// startNode stands up one hub over tr with one subscription to tp —
+// the single-topic process these live tests drive. The subscription's
+// random stream is seeded from the address alone (not address +
+// topic, Join's default), so every test keeps the stream it was tuned
+// with. The hub is stopped at cleanup.
+func startNode(t testing.TB, tr Transport, tp string, params Params, tick time.Duration, opts ...JoinOption) *Subscription {
+	t.Helper()
+	h, err := NewHub(tr, WithParams(params), WithTickInterval(tick))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = h.Stop() })
+	addr := tr.Addr()
+	seed := int64(len(addr))*7919 + hashString(addr)
+	sub, err := h.Join(context.Background(), tp, append([]JoinOption{WithSeed(seed)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sub
+}
+
 func TestNewNodeValidation(t *testing.T) {
-	if _, err := NewNode(Config{Topic: ".a"}); !errors.Is(err, ErrNoTransport) {
+	if _, err := NewHub(nil); !errors.Is(err, ErrNoTransport) {
 		t.Errorf("err = %v", err)
 	}
 	net := NewMemNetwork()
-	if _, err := NewNode(Config{Topic: "bad", Transport: net.NewTransport("x1")}); err == nil {
+	hub, err := NewHub(net.NewTransport("x1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = hub.Stop() })
+	ctx := context.Background()
+	if _, err := hub.Join(ctx, "bad"); err == nil {
 		t.Error("bad topic accepted")
 	}
 	// Super topic must strictly include the topic.
-	_, err := NewNode(Config{
-		Topic:         ".a.b",
-		Transport:     net.NewTransport("x2"),
-		SuperContacts: []string{"y"},
-		SuperTopic:    ".zzz",
-	})
-	if err == nil {
+	if _, err := hub.Join(ctx, ".a.b", WithSuperContacts(".zzz", "y")); err == nil {
 		t.Error("unrelated super topic accepted")
 	}
-	_, err = NewNode(Config{
-		Topic:         ".a.b",
-		Transport:     net.NewTransport("x3"),
-		SuperContacts: []string{"y"},
-		SuperTopic:    "not-a-topic",
-	})
-	if err == nil {
+	if _, err := hub.Join(ctx, ".a.b", WithSuperContacts("not-a-topic", "y")); err == nil {
 		t.Error("invalid super topic accepted")
 	}
 	// Invalid params bubble up.
 	bad := DefaultParams()
 	bad.Z = -1
-	if _, err := NewNode(Config{Topic: ".a", Transport: net.NewTransport("x4"), Params: bad}); err == nil {
+	if _, err := hub.Join(ctx, ".a", WithParams(bad)); err == nil {
 		t.Error("invalid params accepted")
 	}
 }
 
 func TestNodeDefaultsIDFromTransport(t *testing.T) {
 	net := NewMemNetwork()
-	n, err := NewNode(Config{Topic: ".a", Transport: net.NewTransport("addr-7")})
-	if err != nil {
-		t.Fatal(err)
+	sub := startNode(t, net.NewTransport("addr-7"), ".a", Params{}, 0)
+	if id := sub.hub.ID(); id != "addr-7" {
+		t.Errorf("ID = %s", id)
 	}
-	if n.ID() != "addr-7" {
-		t.Errorf("ID = %s", n.ID())
-	}
-	if n.Topic() != ".a" {
-		t.Errorf("Topic = %s", n.Topic())
+	if sub.Topic() != ".a" {
+		t.Errorf("Topic = %s", sub.Topic())
 	}
 }
 
 func TestNodeLifecycle(t *testing.T) {
 	net := NewMemNetwork()
-	n, err := NewNode(Config{Topic: ".a", Transport: net.NewTransport("n1")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.Publish(nil); !errors.Is(err, ErrNotRunning) {
-		t.Errorf("Publish before Start = %v", err)
-	}
-	if err := n.Stop(); !errors.Is(err, ErrNotRunning) {
-		t.Errorf("Stop before Start = %v", err)
-	}
+	sub := startNode(t, net.NewTransport("n1"), ".a", Params{}, 0)
 	ctx := context.Background()
-	if err := n.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Start(ctx); !errors.Is(err, ErrAlreadyStarted) {
-		t.Errorf("second Start = %v", err)
-	}
-	id, err := n.Publish([]byte("x"))
+	id, err := sub.Publish(ctx, []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id == "" {
 		t.Error("empty event id")
 	}
-	if err := n.Stop(); err != nil {
+	if err := sub.hub.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Stop(); err != nil {
+	if err := sub.hub.Stop(); err != nil {
 		t.Errorf("repeated Stop = %v", err)
+	}
+	if _, err := sub.Publish(ctx, nil); !errors.Is(err, ErrNotRunning) {
+		t.Errorf("Publish after Stop = %v", err)
 	}
 	// Events channel is closed after Stop.
 	select {
-	case _, open := <-n.Events():
+	case _, open := <-sub.Events():
 		if open {
 			t.Error("event received after stop")
 		}
@@ -111,30 +111,32 @@ func TestNodeLifecycle(t *testing.T) {
 
 func TestNodeContextCancelStops(t *testing.T) {
 	net := NewMemNetwork()
-	n, err := NewNode(Config{Topic: ".a", Transport: net.NewTransport("nc")})
+	ctx, cancel := context.WithCancel(context.Background())
+	hub, err := NewHub(net.NewTransport("nc"), WithContext(ctx))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	if err := n.Start(ctx); err != nil {
+	t.Cleanup(func() { _ = hub.Stop() })
+	sub, err := hub.Join(context.Background(), ".a")
+	if err != nil {
 		t.Fatal(err)
 	}
 	cancel()
 	select {
-	case _, open := <-n.Events():
+	case _, open := <-sub.Events():
 		if open {
 			t.Error("unexpected event")
 		}
 	case <-time.After(2 * time.Second):
-		t.Error("node did not stop on context cancel")
+		t.Error("hub did not stop on context cancel")
 	}
 }
 
-// startCluster builds one group of n nodes fully meshed via
-// GroupContacts, plus optional super contacts, and starts them all.
-func startCluster(t *testing.T, net *MemNetwork, tp string, names []string, superTopic string, superContacts []string) []*Node {
+// startCluster builds one group of n single-topic hubs fully meshed
+// via group contacts, plus optional super contacts.
+func startCluster(t *testing.T, net *MemNetwork, tp string, names []string, superTopic string, superContacts []string) []*Subscription {
 	t.Helper()
-	var nodes []*Node
+	var subs []*Subscription
 	for _, name := range names {
 		others := make([]string, 0, len(names)-1)
 		for _, o := range names {
@@ -142,29 +144,13 @@ func startCluster(t *testing.T, net *MemNetwork, tp string, names []string, supe
 				others = append(others, o)
 			}
 		}
-		cfg := Config{
-			ID:            name,
-			Topic:         tp,
-			Transport:     net.NewTransport(name),
-			Params:        liveParams(),
-			GroupContacts: others,
-			TickInterval:  20 * time.Millisecond,
-		}
+		opts := []JoinOption{WithGroupContacts(others...)}
 		if len(superContacts) > 0 {
-			cfg.SuperTopic = superTopic
-			cfg.SuperContacts = superContacts
+			opts = append(opts, WithSuperContacts(superTopic, superContacts...))
 		}
-		n, err := NewNode(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := n.Start(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = n.Stop() })
-		nodes = append(nodes, n)
+		subs = append(subs, startNode(t, net.NewTransport(name), tp, liveParams(), 20*time.Millisecond, opts...))
 	}
-	return nodes
+	return subs
 }
 
 func names(prefix string, n int) []string {
@@ -179,7 +165,7 @@ func TestLiveGroupDissemination(t *testing.T) {
 	net := NewMemNetwork()
 	nodes := startCluster(t, net, ".chat", names("c", 8), "", nil)
 
-	id, err := nodes[0].Publish([]byte("hello"))
+	id, err := nodes[0].Publish(context.Background(), []byte("hello"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +173,7 @@ func TestLiveGroupDissemination(t *testing.T) {
 		select {
 		case ev := <-n.Events():
 			if ev.ID != id {
-				t.Errorf("node %s got event %s, want %s", n.ID(), ev.ID, id)
+				t.Errorf("node %s got event %s, want %s", n.hub.ID(), ev.ID, id)
 			}
 			if ev.Topic != ".chat" {
 				t.Errorf("topic = %s", ev.Topic)
@@ -196,7 +182,7 @@ func TestLiveGroupDissemination(t *testing.T) {
 				t.Errorf("payload = %q", ev.Payload)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("node %s never received the event", n.ID())
+			t.Fatalf("node %s never received the event", n.hub.ID())
 		}
 	}
 }
@@ -210,7 +196,7 @@ func TestLiveEventClimbsToSupergroup(t *testing.T) {
 	pubParams := liveParams()
 	pubParams.G = 1 << 20
 	pubParams.A = float64(pubParams.Z) // pA = 1
-	var pubs []*Node
+	var pubs []*Subscription
 	for _, name := range names("p", 3) {
 		others := make([]string, 0, 2)
 		for _, o := range names("p", 3) {
@@ -218,27 +204,11 @@ func TestLiveEventClimbsToSupergroup(t *testing.T) {
 				others = append(others, o)
 			}
 		}
-		n, err := NewNode(Config{
-			ID:            name,
-			Topic:         ".news.sports",
-			Transport:     net.NewTransport(name),
-			Params:        pubParams,
-			GroupContacts: others,
-			SuperTopic:    ".news",
-			SuperContacts: superNames,
-			TickInterval:  20 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := n.Start(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = n.Stop() })
-		pubs = append(pubs, n)
+		pubs = append(pubs, startNode(t, net.NewTransport(name), ".news.sports", pubParams, 20*time.Millisecond,
+			WithGroupContacts(others...), WithSuperContacts(".news", superNames...)))
 	}
 
-	id, err := pubs[0].Publish([]byte("goal"))
+	id, err := pubs[0].Publish(context.Background(), []byte("goal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,10 +217,10 @@ func TestLiveEventClimbsToSupergroup(t *testing.T) {
 		select {
 		case ev := <-s.Events():
 			if ev.ID != id || ev.Topic != ".news.sports" {
-				t.Errorf("super %s got %+v", s.ID(), ev)
+				t.Errorf("super %s got %+v", s.hub.ID(), ev)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("super %s never received the climbed event", s.ID())
+			t.Fatalf("super %s never received the climbed event", s.hub.ID())
 		}
 	}
 }
@@ -258,25 +228,11 @@ func TestLiveEventClimbsToSupergroup(t *testing.T) {
 func TestLiveBootstrapViaSeeds(t *testing.T) {
 	net := NewMemNetwork()
 	supers := startCluster(t, net, ".news", names("b", 3), "", nil)
-	_ = supers
 
 	// A joiner knows only seeds (the supergroup members), not its
 	// supergroup: FIND_SUPER_CONTACT must locate them.
-	j, err := NewNode(Config{
-		ID:           "joiner",
-		Topic:        ".news.tech",
-		Transport:    net.NewTransport("joiner"),
-		Params:       liveParams(),
-		Seeds:        names("b", 3),
-		TickInterval: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = j.Stop() })
+	j := startNode(t, net.NewTransport("joiner"), ".news.tech", liveParams(), 20*time.Millisecond,
+		WithSeeds(names("b", 3)...))
 
 	// Wait for the supertopic table to initialize, then publish; the
 	// event must reach a .news subscriber.
@@ -287,7 +243,7 @@ func TestLiveBootstrapViaSeeds(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 		// Probe: publish and see if any super receives within a tick.
-		if _, err := j.Publish([]byte("probe")); err != nil {
+		if _, err := j.Publish(context.Background(), []byte("probe")); err != nil {
 			t.Fatal(err)
 		}
 		select {
@@ -305,25 +261,26 @@ func TestLiveBootstrapViaSeeds(t *testing.T) {
 func TestNodeLeave(t *testing.T) {
 	net := NewMemNetwork()
 	nodes := startCluster(t, net, ".room", names("l", 4), "", nil)
+	ctx := context.Background()
 
-	// One node leaves gracefully; peers purge it, and the leaver
-	// cannot publish anymore.
-	if err := nodes[3].Leave(); err != nil {
+	// One subscription leaves gracefully; peers purge it, and the
+	// leaver cannot publish anymore.
+	if err := nodes[3].Leave(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nodes[3].Publish(nil); !errors.Is(err, ErrNotRunning) {
+	if _, err := nodes[3].Publish(ctx, nil); !errors.Is(err, ErrNotRunning) {
 		t.Errorf("publish after leave = %v", err)
 	}
-	// A leave on a never-started node errors.
-	fresh, err := NewNode(Config{Topic: ".x", Transport: net.NewTransport("fresh")})
-	if err != nil {
+	// A leave on a stopped hub errors.
+	stopped := startNode(t, net.NewTransport("stopped"), ".x", Params{}, 0)
+	if err := stopped.hub.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.Leave(); !errors.Is(err, ErrNotRunning) {
-		t.Errorf("leave before start = %v", err)
+	if err := stopped.Leave(ctx); !errors.Is(err, ErrNotRunning) {
+		t.Errorf("leave after stop = %v", err)
 	}
-	// Remaining nodes still disseminate among themselves.
-	id, err := nodes[0].Publish([]byte("still here"))
+	// Remaining subscriptions still disseminate among themselves.
+	id, err := nodes[0].Publish(ctx, []byte("still here"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,10 +288,10 @@ func TestNodeLeave(t *testing.T) {
 		select {
 		case ev := <-n.Events():
 			if ev.ID != id {
-				t.Errorf("node %s got %s", n.ID(), ev.ID)
+				t.Errorf("node %s got %s", n.hub.ID(), ev.ID)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("node %s never received after peer left", n.ID())
+			t.Fatalf("node %s never received after peer left", n.hub.ID())
 		}
 	}
 }
@@ -342,38 +299,12 @@ func TestNodeLeave(t *testing.T) {
 func TestDroppedDeliveriesCounted(t *testing.T) {
 	net := NewMemNetwork()
 	// Buffer of 1: flooding publishes from a peer overflows it.
-	sub, err := NewNode(Config{
-		ID:          "slow",
-		Topic:       ".x",
-		Transport:   net.NewTransport("slow"),
-		Params:      liveParams(),
-		EventBuffer: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pub, err := NewNode(Config{
-		ID:            "fast",
-		Topic:         ".x",
-		Transport:     net.NewTransport("fast"),
-		Params:        liveParams(),
-		GroupContacts: []string{"slow"},
-		TickInterval:  10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := sub.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := pub.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = sub.Stop(); _ = pub.Stop() })
+	sub := startNode(t, net.NewTransport("slow"), ".x", liveParams(), 0, WithEventBuffer(1))
+	pub := startNode(t, net.NewTransport("fast"), ".x", liveParams(), 10*time.Millisecond,
+		WithGroupContacts("slow"))
 
 	for i := 0; i < 50; i++ {
-		if _, err := pub.Publish([]byte("flood")); err != nil {
+		if _, err := pub.Publish(context.Background(), []byte("flood")); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -48,31 +48,18 @@ func TestRaceConcurrentPublishSubscribeMem(t *testing.T) {
 		return out
 	}
 
-	all := make([]*Node, nodes)
+	all := make([]*Subscription, nodes)
 	ctx := context.Background()
 	for i := range all {
-		n, err := NewNode(Config{
-			ID:            addrs[i],
-			Topic:         ".race",
-			Transport:     net.NewTransport(addrs[i]),
-			Params:        raceParams(),
-			GroupContacts: peers(i),
-			TickInterval:  time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := n.Start(ctx); err != nil {
-			t.Fatal(err)
-		}
-		all[i] = n
+		all[i] = startNode(t, net.NewTransport(addrs[i]), ".race", raceParams(), time.Millisecond,
+			WithGroupContacts(peers(i)...))
 	}
 
 	var delivered atomic.Int64
 	var wg sync.WaitGroup
 	for _, n := range all {
 		wg.Add(1)
-		go func(n *Node) {
+		go func(n *Subscription) {
 			defer wg.Done()
 			for range n.Events() {
 				delivered.Add(1)
@@ -83,10 +70,10 @@ func TestRaceConcurrentPublishSubscribeMem(t *testing.T) {
 	var pubs sync.WaitGroup
 	for i, n := range all {
 		pubs.Add(1)
-		go func(i int, n *Node) {
+		go func(i int, n *Subscription) {
 			defer pubs.Done()
 			for j := 0; j < pubsPerNode; j++ {
-				if _, err := n.Publish([]byte(fmt.Sprintf("p%d-%d", i, j))); err != nil {
+				if _, err := n.Publish(ctx, []byte(fmt.Sprintf("p%d-%d", i, j))); err != nil {
 					t.Errorf("publish: %v", err)
 					return
 				}
@@ -101,9 +88,9 @@ func TestRaceConcurrentPublishSubscribeMem(t *testing.T) {
 	var stops sync.WaitGroup
 	for _, n := range all {
 		stops.Add(1)
-		go func(n *Node) {
+		go func(n *Subscription) {
 			defer stops.Done()
-			if err := n.Stop(); err != nil {
+			if err := n.hub.Stop(); err != nil {
 				t.Errorf("stop: %v", err)
 			}
 		}(n)
@@ -139,30 +126,18 @@ func TestRaceConcurrentPublishSubscribeTCP(t *testing.T) {
 		return out
 	}
 
-	all := make([]*Node, nodes)
+	all := make([]*Subscription, nodes)
 	ctx := context.Background()
 	for i := range all {
-		n, err := NewNode(Config{
-			Topic:         ".race.tcp",
-			Transport:     trs[i],
-			Params:        raceParams(),
-			GroupContacts: peers(i),
-			TickInterval:  time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := n.Start(ctx); err != nil {
-			t.Fatal(err)
-		}
-		all[i] = n
+		all[i] = startNode(t, trs[i], ".race.tcp", raceParams(), time.Millisecond,
+			WithGroupContacts(peers(i)...))
 	}
 
 	var delivered atomic.Int64
 	var drains sync.WaitGroup
 	for _, n := range all {
 		drains.Add(1)
-		go func(n *Node) {
+		go func(n *Subscription) {
 			defer drains.Done()
 			for range n.Events() {
 				delivered.Add(1)
@@ -174,10 +149,10 @@ func TestRaceConcurrentPublishSubscribeTCP(t *testing.T) {
 	for i := 0; i < nodes-1; i++ {
 		n := all[i]
 		pubs.Add(1)
-		go func(i int, n *Node) {
+		go func(i int, n *Subscription) {
 			defer pubs.Done()
 			for j := 0; j < 10; j++ {
-				if _, err := n.Publish([]byte(fmt.Sprintf("t%d-%d", i, j))); err != nil {
+				if _, err := n.Publish(ctx, []byte(fmt.Sprintf("t%d-%d", i, j))); err != nil {
 					t.Errorf("publish: %v", err)
 					return
 				}
@@ -189,18 +164,22 @@ func TestRaceConcurrentPublishSubscribeTCP(t *testing.T) {
 	pubs.Add(1)
 	go func() {
 		defer pubs.Done()
-		if _, err := all[nodes-1].Publish([]byte("bye")); err != nil {
+		last := all[nodes-1]
+		if _, err := last.Publish(ctx, []byte("bye")); err != nil {
 			t.Errorf("publish: %v", err)
 		}
-		if err := all[nodes-1].Leave(); err != nil {
+		if err := last.Leave(ctx); err != nil {
 			t.Errorf("leave: %v", err)
+		}
+		if err := last.hub.Stop(); err != nil {
+			t.Errorf("stop: %v", err)
 		}
 	}()
 	pubs.Wait()
 
 	waitFor(t, func() bool { return delivered.Load() > 0 })
 	for i := 0; i < nodes-1; i++ {
-		if err := all[i].Stop(); err != nil {
+		if err := all[i].hub.Stop(); err != nil {
 			t.Errorf("stop: %v", err)
 		}
 	}

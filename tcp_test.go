@@ -110,35 +110,11 @@ func TestTCPNodesEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sub, err := NewNode(Config{
-		Topic:        ".metrics",
-		Transport:    ta,
-		Params:       liveParams(),
-		TickInterval: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pub, err := NewNode(Config{
-		Topic:         ".metrics",
-		Transport:     tb,
-		Params:        liveParams(),
-		GroupContacts: []string{ta.Addr()},
-		TickInterval:  20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := sub.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := pub.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = sub.Stop(); _ = pub.Stop() })
+	sub := startNode(t, ta, ".metrics", liveParams(), 20*time.Millisecond)
+	pub := startNode(t, tb, ".metrics", liveParams(), 20*time.Millisecond,
+		WithGroupContacts(ta.Addr()))
 
-	id, err := pub.Publish([]byte("cpu=97"))
+	id, err := pub.Publish(context.Background(), []byte("cpu=97"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,9 @@
 package damulticast
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
-
-	"damulticast/internal/core"
 )
 
 // Transport carries encoded protocol messages between nodes.
@@ -34,33 +31,11 @@ type Transport interface {
 	// retain payload past its return.
 	Send(addr string, payload []byte) error
 	// SetHandler installs the receive callback. Must be called before
-	// any delivery; Node.Start does this. Each call to the handler
+	// any delivery; NewHub does this. Each call to the handler
 	// transfers ownership of the payload buffer to the handler.
 	SetHandler(func(payload []byte))
 	// Close releases resources; subsequent Sends fail.
 	Close() error
-}
-
-// encodeMessageJSON serializes a protocol message as JSON — the wire
-// format of format version 0, kept for migration tooling and the
-// cross-decode tests. The live path uses the binary codec (codec.go).
-func encodeMessageJSON(m *core.Message) ([]byte, error) {
-	return json.Marshal(m)
-}
-
-// decodeMessageJSON parses a frame produced by encodeMessageJSON.
-// Frames that are not valid JSON — including binary frames, whose
-// leading version byte can never open a JSON document — or whose
-// message type is missing or unknown, are rejected.
-func decodeMessageJSON(payload []byte) (*core.Message, error) {
-	var m core.Message
-	if err := json.Unmarshal(payload, &m); err != nil {
-		return nil, fmt.Errorf("damulticast: decode: %w", err)
-	}
-	if !m.Type.Known() {
-		return nil, fmt.Errorf("damulticast: decode: unknown message type %d", int(m.Type))
-	}
-	return &m, nil
 }
 
 // Transport errors.

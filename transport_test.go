@@ -8,6 +8,7 @@ import (
 
 	"damulticast/internal/core"
 	"damulticast/internal/ids"
+	"damulticast/internal/wire"
 )
 
 func TestMessageCodecRoundTrip(t *testing.T) {
@@ -21,11 +22,11 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 			Payload: []byte("payload"),
 		},
 	}
-	raw, err := encodeMessage(m)
+	raw, err := wire.EncodeMessage(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeMessage(raw)
+	got, err := wire.DecodeMessage(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 }
 
 func TestDecodeMessageMalformed(t *testing.T) {
-	if _, err := decodeMessage([]byte("{not json")); err == nil {
+	if _, err := wire.DecodeMessage([]byte("{not json")); err == nil {
 		t.Error("malformed frame decoded")
 	}
 }
