@@ -42,6 +42,10 @@ import (
 // the paper's §V. The zero value is invalid; start from DefaultParams.
 type Params = core.Params
 
+// RecoveryStats are a subscription's anti-entropy recovery counters;
+// see SubscriptionStats.Recovery.
+type RecoveryStats = core.RecoveryStats
+
 // DefaultParams returns the paper's simulation constants (§VII-A):
 // b=3, c=5, g=5, a=1, z=3.
 func DefaultParams() Params { return core.DefaultParams() }

@@ -94,7 +94,7 @@ type Subscription struct {
 	mu sync.Mutex
 	// Per-policy delivery-drop counters (see OverflowPolicy). Which
 	// one a full Events channel bumps depends on the subscription's
-	// policy; their sum is DroppedDeliveries.
+	// policy; Stats reports their sum as DroppedDeliveries.
 	droppedNewest int64
 	droppedOldest int64
 }
@@ -566,34 +566,28 @@ func (l *hubLoop) handleFrame(frame []byte) {
 }
 
 func (l *hubLoop) publish(req pubReq) {
+	var res pubResult
+	if req.batch {
+		var evs []*core.Event
+		if evs, res.err = req.sub.proc.PublishBatch(req.payloads); res.err == nil {
+			res.ids = make([]string, len(evs))
+			for i, ev := range evs {
+				res.ids[i] = ev.ID.String()
+			}
+		}
+	} else {
+		var ev *core.Event
+		if ev, res.err = req.sub.proc.Publish(req.payload); res.err == nil {
+			res.id = ev.ID.String()
+		}
+	}
 	// The engine's stopped sentinel is internal; surface the exported
 	// lifecycle sentinel so callers outside this module can errors.Is
 	// it.
-	if req.batch {
-		evs, err := req.sub.proc.PublishBatch(req.payloads)
-		if err != nil {
-			if errors.Is(err, core.ErrStopped) {
-				err = fmt.Errorf("%w: subscription has left", ErrNotRunning)
-			}
-			req.reply <- pubResult{err: err} //damcvet:allow loopblock(reply is buffered cap 1, written once per request)
-			return
-		}
-		eids := make([]string, len(evs))
-		for i, ev := range evs {
-			eids[i] = ev.ID.String()
-		}
-		req.reply <- pubResult{ids: eids} //damcvet:allow loopblock(reply is buffered cap 1, written once per request)
-		return
+	if errors.Is(res.err, core.ErrStopped) {
+		res.err = fmt.Errorf("%w: subscription has left", ErrNotRunning)
 	}
-	ev, err := req.sub.proc.Publish(req.payload)
-	if err != nil {
-		if errors.Is(err, core.ErrStopped) {
-			err = fmt.Errorf("%w: subscription has left", ErrNotRunning)
-		}
-		req.reply <- pubResult{err: err} //damcvet:allow loopblock(reply is buffered cap 1, written once per request)
-		return
-	}
-	req.reply <- pubResult{id: ev.ID.String()} //damcvet:allow loopblock(reply is buffered cap 1, written once per request)
+	req.reply <- res //damcvet:allow loopblock(reply is buffered cap 1, written once per request)
 }
 
 func (l *hubLoop) join(req joinReq) {
@@ -652,18 +646,6 @@ func (s *Subscription) Topic() string { return string(s.topic) }
 // when the subscription leaves or the hub stops. What happens when the
 // application stops reading it is the subscription's OverflowPolicy.
 func (s *Subscription) Events() <-chan Event { return s.events }
-
-// DroppedDeliveries reports how many events were discarded at the full
-// Events channel, under any policy.
-func (s *Subscription) DroppedDeliveries() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.droppedNewest + s.droppedOldest
-}
-
-// RecoveryStats returns the subscription's anti-entropy recovery
-// counters (all zero unless Params.RecoverPeriod enables recovery).
-func (s *Subscription) RecoveryStats() core.RecoveryStats { return s.proc.RecoveryStats() }
 
 // Publish disseminates an event of the subscription's topic and
 // returns its id. It blocks until the hub's loop accepts the
@@ -766,8 +748,9 @@ type SubscriptionStats struct {
 	// DroppedOldest counts buffered events evicted to admit newer
 	// ones (DropOldest).
 	DroppedOldest int64
-	// Recovery holds the anti-entropy recovery counters.
-	Recovery core.RecoveryStats
+	// Recovery holds the anti-entropy recovery counters (all zero
+	// unless Params.RecoverPeriod enables recovery).
+	Recovery RecoveryStats
 }
 
 // Stats snapshots the subscription's counters.

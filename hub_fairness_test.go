@@ -92,7 +92,7 @@ func TestOverflowDropNewest(t *testing.T) {
 	if _, err := pub.PublishBatch(context.Background(), payloads(20)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return sub.DroppedDeliveries() == 16 })
+	waitFor(t, func() bool { return sub.Stats().DroppedDeliveries == 16 })
 	st := sub.Stats()
 	if st.Overflow != DropNewest {
 		t.Errorf("policy = %v, want DropNewest", st.Overflow)
@@ -115,7 +115,7 @@ func TestOverflowDropOldest(t *testing.T) {
 	if _, err := pub.PublishBatch(context.Background(), payloads(20)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return sub.DroppedDeliveries() == 16 })
+	waitFor(t, func() bool { return sub.Stats().DroppedDeliveries == 16 })
 	st := sub.Stats()
 	if st.Overflow != DropOldest {
 		t.Errorf("policy = %v, want DropOldest", st.Overflow)
@@ -157,7 +157,7 @@ func TestOverflowBlock(t *testing.T) {
 			t.Errorf("event[%d] = %q, want %q", i, ev.Payload, want)
 		}
 	}
-	if d := sub.DroppedDeliveries(); d != 0 {
+	if d := sub.Stats().DroppedDeliveries; d != 0 {
 		t.Errorf("Block policy dropped %d deliveries", d)
 	}
 }

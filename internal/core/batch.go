@@ -18,7 +18,6 @@ package core
 import (
 	"damulticast/internal/ids"
 	"damulticast/internal/topic"
-	"damulticast/internal/xrand"
 )
 
 // MsgEventBatch carries several events for one destination group in a
@@ -53,16 +52,8 @@ func (p *Process) PublishBatch(payloads [][]byte) ([]*Event, error) {
 	evs := make([]*Event, len(payloads))
 	acc := p.takeAccum()
 	for i, payload := range payloads {
-		p.nextSeq++
-		ev := &Event{
-			ID:      ids.EventID{Origin: p.id, Seq: p.nextSeq},
-			Topic:   p.topic,
-			Payload: payload,
-		}
-		evs[i] = ev
-		p.seen.Add(ev.ID)
-		p.rememberEvent(ev)
-		p.disseminateInto(acc, ev)
+		evs[i] = p.newEvent(payload)
+		p.disseminateInto(acc, evs[i])
 	}
 	p.flushAccum(acc)
 	return evs, nil
@@ -135,43 +126,19 @@ func (p *Process) takeAccum() *batchAccum {
 	return acc
 }
 
-// disseminateInto runs one event's DISSEMINATE election (identical
-// draws, in identical order, to disseminate in disseminate.go) but
-// accumulates the elected pairs instead of sending immediately.
+// disseminateInto runs one event's election (elect, the same draws
+// disseminate makes) but accumulates the elected (target, group) pairs
+// instead of sending immediately.
 func (p *Process) disseminateInto(acc *batchAccum, ev *Event) {
-	r := p.env.Rand()
-
-	// (1) Upward dissemination toward the supergroup.
-	if p.superTable.Len() > 0 && xrand.Bernoulli(r, p.pSel()) {
-		pa := p.pA()
-		for _, target := range p.superTable.IDs() {
-			if xrand.Bernoulli(r, pa) && target != p.id {
-				acc.add(target, p.superKnown, ev)
-			}
+	targets, segs := p.elect()
+	start := 0
+	for _, s := range segs {
+		for _, to := range targets[start:s.end] {
+			acc.add(to, s.dest, ev)
 		}
+		start = s.end
 	}
-	// (1b) Same, per declared extra supertopic (§VIII extension).
-	if len(p.extras) > 0 {
-		pa := p.pA()
-		for _, sup := range p.extraOrder {
-			v := p.extras[sup]
-			if v.Len() == 0 || !xrand.Bernoulli(r, p.pSel()) {
-				continue
-			}
-			for _, target := range v.IDs() {
-				if xrand.Bernoulli(r, pa) && target != p.id {
-					acc.add(target, sup, ev)
-				}
-			}
-		}
-	}
-	// (2) Gossip within the group: ln(S)+c distinct targets.
-	k := p.fanout()
-	for _, target := range p.topicTable.Sample(r, k) {
-		if target != p.id {
-			acc.add(target, p.topic, ev)
-		}
-	}
+	p.batch, p.segs = targets[:0], segs[:0]
 }
 
 // flushAccum emits one message per accumulated (target, group) pair —

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"damulticast/internal/ids"
+	"damulticast/internal/topic"
 )
 
 // election is one (target, destination group, event) triple a
@@ -54,16 +55,49 @@ func elections(t *testing.T, sent []sentMsg) []election {
 // TestPublishBatchMatchesSequentialElections pins the RNG contract of
 // the batched path: PublishBatch draws the random stream exactly as
 // the same sequence of Publish calls would, so the elected (target,
-// group, event) triples are identical — only the framing differs.
+// group, event) triples are identical — only the framing differs. The
+// cases cover every branch of the election: intra-group gossip only,
+// plus the upward election to a supertopic table, plus a §VIII extra
+// supertopic table. G = 6 over a 7-process group makes pSel = 6/7, so
+// most events elect themselves upward.
 func TestPublishBatchMatchesSequentialElections(t *testing.T) {
 	contacts := []ids.ProcessID{"m1", "m2", "m3", "m4", "m5", "m6"}
-	build := func() (*Process, *fakeEnv) {
-		env := newFakeEnv(42)
-		p := MustNewProcess("p", ".a", testParams(), env)
-		p.SeedTopicTable(contacts)
-		return p, env
+	cases := []struct {
+		name  string
+		super []ids.ProcessID
+		extra []ids.ProcessID
+	}{
+		{name: "topic-table"},
+		{name: "super-table", super: []ids.ProcessID{"s1", "s2", "s3"}},
+		{name: "extra-super-table", super: []ids.ProcessID{"s1", "s2", "s3"}, extra: []ids.ProcessID{"x1", "x2", "x3"}},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() (*Process, *fakeEnv) {
+				env := newFakeEnv(42)
+				params := testParams()
+				if tc.super != nil {
+					params.G = 6
+				}
+				p := MustNewProcess("p", ".a", params, env)
+				p.SeedTopicTable(contacts)
+				if tc.super != nil {
+					p.SeedSuperTable(topic.Root, tc.super)
+				}
+				if tc.extra != nil {
+					if err := p.AddExtraSuperTable(".x", tc.extra); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return p, env
+			}
+			checkBatchMatchesSequential(t, build, tc.super != nil, tc.extra != nil)
+		})
+	}
+}
 
+func checkBatchMatchesSequential(t *testing.T, build func() (*Process, *fakeEnv), wantUp, wantExtra bool) {
+	t.Helper()
 	payloads := [][]byte{[]byte("e0"), []byte("e1"), []byte("e2"), []byte("e3")}
 
 	seqProc, seqEnv := build()
@@ -95,6 +129,18 @@ func TestPublishBatchMatchesSequentialElections(t *testing.T) {
 		if seq[i] != batch[i] {
 			t.Fatalf("election %d differs: sequential %+v, batched %+v", i, seq[i], batch[i])
 		}
+	}
+	// Each branch under test must actually have elected something, or
+	// the comparison above says nothing about it.
+	dests := make(map[string]int)
+	for _, e := range seq {
+		dests[e.dest]++
+	}
+	if wantUp && dests[string(topic.Root)] == 0 {
+		t.Errorf("no upward election to the supertopic table: %v", dests)
+	}
+	if wantExtra && dests[".x"] == 0 {
+		t.Errorf("no election to the extra supertopic table: %v", dests)
 	}
 	// The whole point: the batched path needs fewer frames whenever any
 	// target was elected for more than one event (with fanout ln(6)+5

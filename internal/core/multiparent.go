@@ -3,13 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"slices"
 
 	"damulticast/internal/ids"
 	"damulticast/internal/membership"
 	"damulticast/internal/topic"
-	"damulticast/internal/xrand"
 )
 
 // Multiple supertopics (§VIII, "Concluding Remarks"): the paper
@@ -85,31 +83,6 @@ func (p *Process) ExtraSuperTable(sup topic.Topic) []ids.ProcessID {
 		return nil
 	}
 	return v.IDs()
-}
-
-// appendExtraTargets performs the upward election for every extra
-// supertopic table, mirroring Fig. 7 lines 3-7 independently per table
-// ("neither would hamper the overall performance"), appending elected
-// targets — and one destination-group segment per table — for the
-// caller's batched fan-out.
-func (p *Process) appendExtraTargets(r *rand.Rand, targets []ids.ProcessID, segs []groupSeg) ([]ids.ProcessID, []groupSeg) {
-	if len(p.extras) == 0 {
-		return targets, segs
-	}
-	pa := p.pA()
-	for _, sup := range p.extraOrder {
-		v := p.extras[sup]
-		if v.Len() == 0 || !xrand.Bernoulli(r, p.pSel()) {
-			continue
-		}
-		for _, target := range v.IDs() {
-			if xrand.Bernoulli(r, pa) && target != p.id {
-				targets = append(targets, target)
-			}
-		}
-		segs = appendSeg(segs, sup, len(targets))
-	}
-	return targets, segs
 }
 
 // pingExtras extends a liveness wave to the extra tables.

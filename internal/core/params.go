@@ -8,8 +8,8 @@
 // The engine is transport-agnostic and clock-agnostic: a Process is a
 // pure message-driven state machine driven through HandleMessage and
 // Tick, with all outbound traffic funnelled through an Env. The
-// round-based simulator (internal/sim) and the live goroutine runtime
-// (internal/runtime) both drive this same engine, so the figures the
+// round-based simulator (internal/sim) and the live Hub of the root
+// damulticast package both drive this same engine, so the figures the
 // simulator regenerates exercise exactly the code a deployment runs.
 package core
 

@@ -58,9 +58,12 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"damulticast/internal/core"
 	"damulticast/internal/ids"
@@ -151,19 +154,15 @@ func EncodeMessage(m *core.Message) ([]byte, error) {
 
 // decoder is a strict cursor over one frame. The first failed read
 // latches err; subsequent reads return zero values, so parse code
-// reads straight through and checks once at the end.
-//
-// With a nil scratch the cursor decodes into fresh allocations (the
-// DecodeMessage path: every string, slice and payload is its own heap
-// copy). With a scratch Decoder attached it decodes into the Decoder's
-// reusable buffers instead: strings go through the intern table, byte
-// fields alias the frame, and slices reuse the Decoder's backing
+// reads straight through and checks once at the end. It decodes into
+// its Decoder's reusable buffers: strings go through the intern table,
+// byte fields alias the frame, and slices reuse the Decoder's backing
 // arrays — see Decoder for the resulting lifetime contract.
 type decoder struct {
-	buf     []byte
-	off     int
-	err     error
-	scratch *Decoder
+	buf []byte
+	off int
+	err error
+	dec *Decoder
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -228,48 +227,45 @@ func (d *decoder) count(minBytes int) int {
 	return int(v)
 }
 
-func (d *decoder) str() string {
+// raw reads a length-prefixed run of bytes — the wire form of both
+// string and bytes — as a capacity-capped subslice of the frame.
+func (d *decoder) raw() []byte {
 	n := d.uvarint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(d.remaining()) {
-		d.fail("string length %d exceeds remaining %d bytes", n, d.remaining())
-		return ""
+		d.fail("length %d exceeds remaining %d bytes", n, d.remaining())
+		return nil
 	}
-	b := d.buf[d.off : d.off+int(n)]
+	b := d.buf[d.off : d.off+int(n) : d.off+int(n)]
 	d.off += int(n)
-	if d.scratch != nil {
-		return d.scratch.intern(b)
-	}
-	return string(b)
+	return b
 }
 
-// bytes reads a length-prefixed byte field. The allocating path copies
-// into a fresh buffer (the frame may alias a transport buffer; decoded
-// messages must not); the pooled path returns a subslice of the frame
+func (d *decoder) str() string { return d.dec.intern(d.raw()) }
+
+// bytes reads a length-prefixed byte field as a subslice of the frame
 // itself — Decoder's lifetime contract. Zero length decodes as nil.
 func (d *decoder) bytes() []byte {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
+	if b := d.raw(); len(b) > 0 {
+		return b
 	}
-	if n > uint64(d.remaining()) {
-		d.fail("bytes length %d exceeds remaining %d bytes", n, d.remaining())
-		return nil
+	return nil
+}
+
+// prefix reads and validates the routing prefix every frame starts
+// with — version byte, message type and destination-group demux topic —
+// returning the dest as a subslice of the frame.
+func (d *decoder) prefix() (core.MsgType, []byte) {
+	if v := d.byte(); d.err == nil && v != Version {
+		d.err = fmt.Errorf("%w: unsupported wire version %d (want %d)", ErrCodec, v, Version)
 	}
-	if n == 0 {
-		return nil
+	t := core.MsgType(d.uvarint())
+	if d.err == nil && !t.Known() {
+		d.err = fmt.Errorf("%w: unknown message type %d", ErrCodec, int(t))
 	}
-	if d.scratch != nil {
-		out := d.buf[d.off : d.off+int(n) : d.off+int(n)]
-		d.off += int(n)
-		return out
-	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:])
-	d.off += int(n)
-	return out
+	return t, d.raw()
 }
 
 // eventBodyInto reads one event's wire form (see appendEventBody) into
@@ -286,15 +282,10 @@ func (d *decoder) entries(scratch *[]membership.Entry) []membership.Entry {
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	var out []membership.Entry
-	if scratch != nil {
-		if cap(*scratch) < n {
-			*scratch = make([]membership.Entry, n)
-		}
-		out = (*scratch)[:n]
-	} else {
-		out = make([]membership.Entry, n)
+	if cap(*scratch) < n {
+		*scratch = make([]membership.Entry, n)
 	}
+	out := (*scratch)[:n]
 	for i := range out {
 		out[i].ID = ids.ProcessID(d.str())
 		out[i].Age = int(d.varint())
@@ -302,29 +293,21 @@ func (d *decoder) entries(scratch *[]membership.Entry) []membership.Entry {
 	return out
 }
 
-// message parses one whole frame into m; shared by the allocating
-// DecodeMessage and the pooled Decoder.Decode (which differ only in
-// where the cursor's primitive reads put their results).
+// message parses one whole frame into m.
 func (d *decoder) message(m *core.Message) error {
-	if v := d.byte(); d.err == nil && v != Version {
-		return fmt.Errorf("%w: unsupported wire version %d (want %d)", ErrCodec, v, Version)
+	t, dest := d.prefix()
+	if d.err != nil {
+		return d.err
 	}
-	m.Type = core.MsgType(d.uvarint())
-	if d.err == nil && !m.Type.Known() {
-		return fmt.Errorf("%w: unknown message type %d", ErrCodec, int(m.Type))
-	}
-	m.Dest = topic.Topic(d.str())
+	m.Type = t
+	m.Dest = topic.Topic(d.dec.intern(dest))
 	m.From = ids.ProcessID(d.str())
 	m.FromTopic = topic.Topic(d.str())
 	switch flag := d.byte(); {
 	case d.err != nil:
 	case flag == 1:
-		if d.scratch != nil {
-			d.scratch.ev = core.Event{}
-			m.Event = &d.scratch.ev
-		} else {
-			m.Event = &core.Event{}
-		}
+		d.dec.ev = core.Event{}
+		m.Event = &d.dec.ev
 		d.eventBodyInto(m.Event)
 	case flag != 0:
 		d.fail("bad event flag %d", flag)
@@ -332,11 +315,7 @@ func (d *decoder) message(m *core.Message) error {
 	m.Origin = ids.ProcessID(d.str())
 	m.OriginTopic = topic.Topic(d.str())
 	if n := d.count(1); d.err == nil && n > 0 {
-		if d.scratch != nil {
-			m.SearchTopics = d.scratch.topicSlots(n)
-		} else {
-			m.SearchTopics = make([]topic.Topic, n)
-		}
+		m.SearchTopics = d.dec.topicSlots(n)
 		for i := range m.SearchTopics {
 			m.SearchTopics[i] = topic.Topic(d.str())
 		}
@@ -344,42 +323,26 @@ func (d *decoder) message(m *core.Message) error {
 	m.TTL = int(d.varint())
 	m.ReqID = d.uvarint()
 	if n := d.count(1); d.err == nil && n > 0 {
-		if d.scratch != nil {
-			m.Contacts = d.scratch.contactSlots(n)
-		} else {
-			m.Contacts = make([]ids.ProcessID, n)
-		}
+		m.Contacts = d.dec.contactSlots(n)
 		for i := range m.Contacts {
 			m.Contacts[i] = ids.ProcessID(d.str())
 		}
 	}
 	m.ContactsTopic = topic.Topic(d.str())
 	m.Digest.From = ids.ProcessID(d.str())
-	var dEnt, sEnt *[]membership.Entry
-	if d.scratch != nil {
-		dEnt, sEnt = &d.scratch.dEntries, &d.scratch.sEntries
-	}
-	m.Digest.Entries = d.entries(dEnt)
-	m.SuperEntries = d.entries(sEnt)
+	m.Digest.Entries = d.entries(&d.dec.dEntries)
+	m.SuperEntries = d.entries(&d.dec.sEntries)
 	m.SuperTopic = topic.Topic(d.str())
 	m.BloomBits = d.bytes()
 	m.BloomK = int(d.uvarint())
 	m.BloomSeed = d.uvarint()
 	if n := d.count(4); d.err == nil && n > 0 { // origin+topic+payload length bytes + seq byte
-		if d.scratch != nil {
-			evs, ptrs := d.scratch.eventSlots(n)
-			for i := range evs {
-				d.eventBodyInto(&evs[i])
-				ptrs[i] = &evs[i]
-			}
-			m.Events = ptrs
-		} else {
-			m.Events = make([]*core.Event, n)
-			for i := range m.Events {
-				m.Events[i] = &core.Event{}
-				d.eventBodyInto(m.Events[i])
-			}
+		evs, ptrs := d.dec.eventSlots(n)
+		for i := range evs {
+			d.eventBodyInto(&evs[i])
+			ptrs[i] = &evs[i]
 		}
+		m.Events = ptrs
 	}
 	if d.err != nil {
 		return d.err
@@ -395,15 +358,43 @@ func (d *decoder) message(m *core.Message) error {
 // may be retained indefinitely). Frames with an unknown version byte
 // (including retired versions and legacy JSON frames, which start with
 // '{'), an unknown message type, truncated or oversized fields, or
-// trailing bytes are rejected. Steady-state receive paths use Decoder
-// instead.
+// trailing bytes are rejected. It decodes with a pooled Decoder and
+// deep-copies the result out of the Decoder's scratch and the frame;
+// steady-state receive paths own a Decoder and skip the copy.
 func DecodeMessage(payload []byte) (*core.Message, error) {
-	d := decoder{buf: payload}
-	var m core.Message
-	if err := d.message(&m); err != nil {
+	dec := decoderPool.Get().(*Decoder)
+	m := new(core.Message)
+	err := dec.decodeInto(payload, m)
+	if err == nil {
+		detach(m)
+	}
+	decoderPool.Put(dec)
+	if err != nil {
 		return nil, err
 	}
-	return &m, nil
+	return m, nil
+}
+
+var decoderPool = sync.Pool{New: func() any { return NewDecoder() }}
+
+// detach replaces every field of m that a Decoder owns with a copy:
+// the event payloads and bloom bits (which alias the frame) and every
+// slice and event struct (which reuse the Decoder's scratch). Strings
+// are interned heap strings and are kept as they are.
+func detach(m *core.Message) {
+	m.Event = m.Event.Clone()
+	m.SearchTopics = slices.Clone(m.SearchTopics)
+	m.Contacts = slices.Clone(m.Contacts)
+	m.Digest.Entries = slices.Clone(m.Digest.Entries)
+	m.SuperEntries = slices.Clone(m.SuperEntries)
+	m.BloomBits = bytes.Clone(m.BloomBits)
+	if m.Events != nil {
+		evs := make([]*core.Event, len(m.Events))
+		for i, ev := range m.Events {
+			evs[i] = ev.Clone()
+		}
+		m.Events = evs
+	}
 }
 
 // maxInternedStrings bounds the Decoder's string intern table; a peer
@@ -454,11 +445,17 @@ func NewDecoder() *Decoder {
 // type comment for the lifetime contract; errors match DecodeMessage's.
 func (dec *Decoder) Decode(frame []byte) (*core.Message, error) {
 	dec.msg = core.Message{}
-	d := decoder{buf: frame, scratch: dec}
-	if err := d.message(&dec.msg); err != nil {
+	if err := dec.decodeInto(frame, &dec.msg); err != nil {
 		return nil, err
 	}
 	return &dec.msg, nil
+}
+
+// decodeInto parses one frame into the zero Message m, with the
+// Decoder's scratch behind every slice and event.
+func (dec *Decoder) decodeInto(frame []byte, m *core.Message) error {
+	d := decoder{buf: frame, dec: dec}
+	return d.message(m)
 }
 
 // intern maps raw string bytes to a stable heap string, allocating only
@@ -516,19 +513,9 @@ func (dec *Decoder) eventSlots(n int) ([]core.Event, []*core.Event) {
 // full decode still validates everything it reads.
 func PeekDest(frame []byte) (core.MsgType, []byte, error) {
 	d := decoder{buf: frame}
-	if v := d.byte(); d.err == nil && v != Version {
-		return 0, nil, fmt.Errorf("%w: unsupported wire version %d (want %d)", ErrCodec, v, Version)
-	}
-	t := core.MsgType(d.uvarint())
-	if d.err == nil && !t.Known() {
-		return 0, nil, fmt.Errorf("%w: unknown message type %d", ErrCodec, int(t))
-	}
-	n := d.uvarint()
-	if d.err == nil && n > uint64(d.remaining()) {
-		d.fail("string length %d exceeds remaining %d bytes", n, d.remaining())
-	}
+	t, dest := d.prefix()
 	if d.err != nil {
 		return 0, nil, d.err
 	}
-	return t, frame[d.off : d.off+int(n)], nil
+	return t, dest, nil
 }

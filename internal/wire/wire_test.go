@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -55,7 +56,8 @@ func aliasSeedMessages() []*core.Message {
 // TestDecodeMessageDoesNotAliasFrame pins DecodeMessage's contract
 // that its result may be retained indefinitely: once decoded, the
 // message owns all its bytes, so overwriting every byte of the frame
-// leaves it deep-equal to a decode of a pristine copy.
+// leaves it deep-equal to a decode of a pristine copy. Nor does it
+// alias decoder scratch: two decodes share no slice or event memory.
 func TestDecodeMessageDoesNotAliasFrame(t *testing.T) {
 	for _, m := range aliasSeedMessages() {
 		frame, err := EncodeMessage(m)
@@ -77,5 +79,40 @@ func TestDecodeMessageDoesNotAliasFrame(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: decoded message changed with its frame:\n  got:  %+v\n  want: %+v", m.Type, got, want)
 		}
+		if shared := sharedMemory("Message", reflect.ValueOf(got), reflect.ValueOf(want)); len(shared) > 0 {
+			t.Errorf("%s: two decodes share memory at %v", m.Type, shared)
+		}
 	}
+}
+
+// sharedMemory lists the paths at which a and b hold the same non-nil
+// pointer or the same non-empty slice backing array. Strings are not
+// compared: interned strings are shared by design.
+func sharedMemory(path string, a, b reflect.Value) []string {
+	var out []string
+	switch a.Kind() {
+	case reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			return nil
+		}
+		if a.Pointer() == b.Pointer() {
+			return []string{path}
+		}
+		return sharedMemory(path, a.Elem(), b.Elem())
+	case reflect.Slice:
+		if a.Len() == 0 || b.Len() == 0 {
+			return nil
+		}
+		if a.Pointer() == b.Pointer() {
+			return []string{path}
+		}
+		for i := 0; i < min(a.Len(), b.Len()); i++ {
+			out = append(out, sharedMemory(fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i))...)
+		}
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			out = append(out, sharedMemory(path+"."+a.Type().Field(i).Name, a.Field(i), b.Field(i))...)
+		}
+	}
+	return out
 }

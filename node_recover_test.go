@@ -172,7 +172,7 @@ func TestLiveRecoveryPullsMissedEvent(t *testing.T) {
 	// The event may arrive via either recovery path: pushed directly in
 	// answer to the late node's empty digest (no request drawn), or
 	// pulled after the holder's digest exposed the gap (one request).
-	if st := late.RecoveryStats(); st.Recovered != 1 {
+	if st := late.Stats().Recovery; st.Recovered != 1 {
 		t.Errorf("late recovery stats = %+v, want exactly 1 recovered", st)
 	}
 }

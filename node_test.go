@@ -309,7 +309,7 @@ func TestDroppedDeliveriesCounted(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for sub.DroppedDeliveries() == 0 {
+	for sub.Stats().DroppedDeliveries == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no drops recorded despite overflow")
 		}
