@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -309,6 +310,72 @@ func TestHubStopWithInflightPublishes(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestHubStopWithStalledTCPPeer: a TCP peer that accepts connections
+// but never reads must cost frames, not liveness. Once the kernel's
+// socket buffers to it fill, Publish must still return and Stop must
+// still finish — Stop waits for the hub loop, so a Send that blocks on
+// the stalled socket would hang both. The timeout only detects that
+// hang.
+func TestHubStopWithStalledTCPPeer(t *testing.T) {
+	stall, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var held []net.Conn
+	go func() {
+		for {
+			c, err := stall.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, c)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		_ = stall.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range held {
+			_ = c.Close()
+		}
+	})
+
+	tr, err := NewTCPTransport("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub, err := NewHub(tr, WithTickInterval(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := hub.Join(context.Background(), ".stall", WithGroupContacts(stall.Addr().String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 60<<10)
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 2000; i++ {
+			if _, err := sub.Publish(context.Background(), payload); err != nil {
+				done <- fmt.Errorf("publish %d: %w", i, err)
+				return
+			}
+		}
+		done <- hub.Stop()
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("Publish or Stop hung behind a peer that stopped reading")
 	}
 }
 

@@ -17,12 +17,15 @@ import (
 // its peers. Frame delivery remains best-effort: connection errors
 // surface as Send errors, which the protocol treats as channel losses.
 //
-// Writes are lock-striped per connection: each outbound peer owns a
-// mutex and a buffered writer, so concurrent sends to different peers
-// never serialize on a transport-wide lock, frames are appended to the
-// connection's buffer without a per-send allocation, and a
-// small-deadline flush (FlushDelay) coalesces bursts of frames — an
-// event fan-out, a shuffle exchange — into one syscall per peer.
+// Each outbound connection has its own lock, a bounded queue of
+// pending frames and one writer goroutine. Send appends the frame to
+// the queue and returns; the writer writes everything queued in one
+// Write as soon as it has bytes. An idle link therefore puts each frame
+// on the wire at once, and frames that arrive while a Write is in
+// flight — an event fan-out, a shuffle exchange — go out together in
+// the next one. Sends to different peers never serialize on a
+// transport-wide lock, and a peer that stops reading fills only its
+// own queue, after which Send drops frames to it instead of blocking.
 type TCPTransport struct {
 	listener net.Listener
 	addr     string
@@ -38,12 +41,6 @@ type TCPTransport struct {
 	DialTimeout time.Duration
 	// MaxFrame bounds accepted frame sizes (default 1 MiB).
 	MaxFrame uint32
-	// FlushDelay is how long written frames may linger in a
-	// connection's buffer waiting for companions before being flushed
-	// (default 200µs). Negative flushes synchronously on every Send.
-	// Complementary to wire-level batching: EVENT_BATCH frames pack
-	// events into one frame, FlushDelay packs frames into one syscall.
-	FlushDelay time.Duration
 }
 
 var _ Transport = (*TCPTransport)(nil)
@@ -51,8 +48,16 @@ var _ Transport = (*TCPTransport)(nil)
 // ErrFrameTooLarge signals an oversized inbound or outbound frame.
 var ErrFrameTooLarge = errors.New("damulticast: frame exceeds MaxFrame")
 
-// tcpWriteBuf is the per-connection write buffer: large enough to
-// coalesce a whole gossip burst, small enough to be cheap per peer.
+// errQueueFull is Send's error when a frame does not fit the peer's
+// queue while its writer is still busy with the previous Write: the
+// peer reads slower than frames arrive, and the frame is lost like any
+// channel loss.
+var errQueueFull = errors.New("damulticast: TCP send queue full")
+
+// tcpWriteBuf bounds a connection's queue of pending frames: large
+// enough to hold a whole gossip burst, small enough to be cheap per
+// peer. A single larger frame (up to MaxFrame) is accepted when the
+// queue is empty.
 const tcpWriteBuf = 64 << 10
 
 // frameTooLarge is the outbound size guard, compared in int64 space: a
@@ -61,72 +66,113 @@ const tcpWriteBuf = 64 << 10
 // misframe on.
 func frameTooLarge(n int64, max uint32) bool { return n > int64(max) }
 
-// tcpConn is one cached outbound connection: its own write lock,
-// buffered writer and flush state. The first write or flush error
-// poisons the connection and evicts it from the transport's cache (via
-// evictFn), so dead peers do not pin sockets until the next Send.
+// tcpConn is one cached outbound connection. Send appends frames to
+// pending; the connection's writer goroutine (writeLoop) swaps pending
+// out and writes it. The writer owns the socket: it closes it on exit.
 type tcpConn struct {
-	conn    net.Conn
-	evictFn func() // removes this conn from the cache and closes it
+	conn net.Conn
+	wake chan struct{} // cap 1: pending grew, or closing was set
 
-	mu           sync.Mutex
-	w            *bufio.Writer
-	timer        *time.Timer // reusable coalescing-flush timer
-	flushPending bool
-	err          error
+	mu      sync.Mutex
+	taken   sync.Cond // L is mu; broadcast when the writer takes pending or stops
+	pending []byte    // length-prefixed frames not yet handed to Write
+	writing bool      // the writer is inside Write
+	closing bool      // Close: drain pending, then exit
+	err     error     // the writer's write error; poisons the connection
 }
 
-// writeFrame appends one length-prefixed frame to the connection's
-// buffer and arranges for it to be flushed within flushDelay.
-func (c *tcpConn) writeFrame(payload []byte, flushDelay time.Duration) error {
+// enqueue appends one length-prefixed frame to pending and wakes the
+// writer. A frame that does not fit is dropped with errQueueFull if
+// the writer is inside Write, so a peer that stops reading never blocks
+// the sender. If the writer is not writing, it is runnable but not yet
+// scheduled — a sender that never yields can starve it for a whole
+// time slice — and enqueue waits for it to take the queue: that wait
+// depends on the scheduler, never on the peer.
+func (c *tcpConn) enqueue(payload []byte) error {
+	n := 4 + len(payload)
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return c.err
+	for c.err == nil && !c.closing && !c.fits(n) && !c.writing {
+		c.taken.Wait()
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := c.w.Write(hdr[:]); err != nil {
-		c.err = err
+	var err error
+	switch {
+	case c.err != nil:
+		err = c.err
+	case c.closing:
+		err = ErrTransportClosed
+	case !c.fits(n):
+		err = errQueueFull
+	}
+	if err != nil {
+		c.mu.Unlock()
 		return err
 	}
-	if _, err := c.w.Write(payload); err != nil {
-		c.err = err
-		return err
-	}
-	if flushDelay < 0 {
-		err := c.w.Flush()
-		c.err = err
-		return err
-	}
-	if !c.flushPending {
-		c.flushPending = true
-		// One timer per connection, reset per flush window: the send
-		// path stays allocation-free under sustained traffic. Reset is
-		// safe because flushPending was false, so the previous firing
-		// has already run (or is harmlessly about to flush early).
-		if c.timer == nil {
-			c.timer = time.AfterFunc(flushDelay, c.flush)
-		} else {
-			c.timer.Reset(flushDelay)
-		}
-	}
+	c.pending = binary.BigEndian.AppendUint32(c.pending, uint32(len(payload)))
+	c.pending = append(c.pending, payload...)
+	c.mu.Unlock()
+	c.signal()
 	return nil
 }
 
-// flush drains the write buffer; called from the coalescing timer and
-// from Close. A flush error evicts the connection immediately — the
-// timer path has no caller to report to.
-func (c *tcpConn) flush() {
-	c.mu.Lock()
-	c.flushPending = false
-	if c.err == nil {
-		c.err = c.w.Flush()
+// fits reports whether n more bytes fit the queue. c.mu must be held.
+func (c *tcpConn) fits(n int) bool {
+	return len(c.pending) == 0 || len(c.pending)+n <= tcpWriteBuf
+}
+
+// signal wakes the writer without blocking; a token already waiting
+// covers this wake-up too.
+func (c *tcpConn) signal() {
+	select {
+	case c.wake <- struct{}{}:
+	default:
 	}
-	failed := c.err != nil
+}
+
+// close asks the writer to drain pending and exit.
+func (c *tcpConn) close() {
+	c.mu.Lock()
+	c.closing = true
+	c.taken.Broadcast()
 	c.mu.Unlock()
-	if failed && c.evictFn != nil {
-		c.evictFn()
+	c.signal()
+}
+
+// writeLoop is c's writer. It sleeps until pending has bytes, then
+// writes all of them in one Write; frames queued during that Write go
+// out together in the next one. The first write error poisons the
+// connection and evicts it from the cache, so the next Send dials
+// afresh. After close it drains pending and exits.
+func (t *TCPTransport) writeLoop(addr string, c *tcpConn) {
+	defer t.wg.Done()
+	defer func() { _ = c.conn.Close() }()
+	var buf []byte
+	for {
+		c.mu.Lock()
+		c.writing = false
+		for len(c.pending) == 0 && !c.closing {
+			c.mu.Unlock()
+			<-c.wake
+			c.mu.Lock()
+		}
+		buf, c.pending = c.pending, buf[:0]
+		c.writing = len(buf) > 0
+		c.taken.Broadcast()
+		c.mu.Unlock()
+		if len(buf) == 0 {
+			return // closing, and nothing left to drain
+		}
+		if _, err := c.conn.Write(buf); err != nil {
+			c.mu.Lock()
+			c.err = err
+			c.pending = nil
+			c.taken.Broadcast()
+			c.mu.Unlock()
+			t.evict(addr, c)
+			return
+		}
+		if len(buf) > tcpWriteBuf {
+			buf = nil // held one oversized frame: do not keep its memory
+		}
 	}
 }
 
@@ -144,7 +190,6 @@ func NewTCPTransport(listenAddr string) (*TCPTransport, error) {
 		inbound:     make(map[net.Conn]struct{}),
 		DialTimeout: 2 * time.Second,
 		MaxFrame:    1 << 20,
-		FlushDelay:  200 * time.Microsecond,
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -229,17 +274,20 @@ func (t *TCPTransport) readFrame(r io.Reader) ([]byte, error) {
 }
 
 // Send frames and transmits payload to addr, dialing or reusing a
-// cached connection. The payload is copied into the connection's write
-// buffer before Send returns (callers may reuse it immediately); the
-// bytes reach the wire within FlushDelay. A failed write poisons and
-// evicts the cached connection; when the failure hit a *cached*
-// connection — the classic half-dead socket to a peer that restarted
-// since the last exchange — Send retries exactly once on a freshly
-// dialed connection instead of losing the frame, so the first message
-// to a restarted peer does not silently turn into a channel loss.
-// Fresh-dial failures are not retried (the peer is genuinely down),
-// and neither is the retry itself, so a flapping peer costs one extra
-// dial per Send at most.
+// cached connection. The frame is copied into the connection's queue
+// before Send returns (callers may reuse payload immediately), and the
+// connection's writer puts it on the wire as soon as its previous Write
+// completes. A frame that would overflow the queue's 64 KiB while that
+// Write is still in progress — the peer has stopped reading — is
+// dropped with an error: Send never waits on the peer. A failed write
+// poisons and evicts the connection; when a Send hits a poisoned
+// *cached* connection — the classic half-dead socket to a peer that
+// restarted since the last exchange — it retries exactly once on a
+// freshly dialed connection instead of losing the frame, so the first
+// message to a restarted peer does not silently turn into a channel
+// loss. Fresh-dial failures are not retried (the peer is genuinely
+// down), and neither is the retry itself, so a flapping peer costs one
+// extra dial per Send at most.
 func (t *TCPTransport) Send(addr string, payload []byte) error {
 	if frameTooLarge(int64(len(payload)), t.MaxFrame) {
 		return ErrFrameTooLarge
@@ -248,10 +296,12 @@ func (t *TCPTransport) Send(addr string, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	werr := conn.writeFrame(payload, t.FlushDelay)
-	if werr == nil {
-		return nil
+	werr := conn.enqueue(payload)
+	if werr == nil || werr == errQueueFull {
+		return werr
 	}
+	// The writer evicts a poisoned connection itself, but may not have
+	// yet; the redial below must not find it still cached.
 	t.evict(addr, conn)
 	if !cached {
 		return fmt.Errorf("damulticast: write %s: %w", addr, werr)
@@ -260,8 +310,7 @@ func (t *TCPTransport) Send(addr string, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("damulticast: write %s: %w (redial failed: %v)", addr, werr, err)
 	}
-	if err := retry.writeFrame(payload, t.FlushDelay); err != nil {
-		t.evict(addr, retry)
+	if err := retry.enqueue(payload); err != nil {
 		return fmt.Errorf("damulticast: write %s after redial: %w", addr, err)
 	}
 	return nil
@@ -287,49 +336,44 @@ func (t *TCPTransport) connFor(addr string) (conn *tcpConn, cached bool, err err
 	if err != nil {
 		return nil, false, fmt.Errorf("damulticast: dial %s: %w", addr, err)
 	}
-	conn = &tcpConn{conn: raw, w: bufio.NewWriterSize(raw, tcpWriteBuf)}
-	conn.evictFn = func() { t.evict(addr, conn) }
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.closed {
-		t.mu.Unlock()
 		_ = raw.Close()
 		return nil, false, ErrTransportClosed
 	}
 	if existing, race := t.conns[addr]; race {
 		// Another Send raced us; keep the existing connection.
-		t.mu.Unlock()
 		_ = raw.Close()
 		return existing, true, nil
 	}
-	t.conns[addr] = conn
-	t.mu.Unlock()
-	return conn, false, nil
+	return t.startConnLocked(addr, raw), false, nil
 }
 
-// evict drops a failed connection from the cache and closes it.
+// startConnLocked caches raw as the connection to addr and starts its
+// writer. t.mu must be held and the transport open.
+func (t *TCPTransport) startConnLocked(addr string, raw net.Conn) *tcpConn {
+	conn := &tcpConn{conn: raw, wake: make(chan struct{}, 1)}
+	conn.taken.L = &conn.mu
+	t.conns[addr] = conn
+	t.wg.Add(1)
+	go t.writeLoop(addr, conn)
+	return conn
+}
+
+// evict drops a failed connection from the cache; its writer closes
+// the socket on the way out.
 func (t *TCPTransport) evict(addr string, conn *tcpConn) {
 	t.mu.Lock()
 	if t.conns[addr] == conn {
 		delete(t.conns, addr)
 	}
 	t.mu.Unlock()
-	conn.stopTimer()
-	_ = conn.conn.Close()
 }
 
-// stopTimer disarms a pending coalescing flush so evicted or
-// closed connections do not keep timers (and their write buffers)
-// alive past teardown.
-func (c *tcpConn) stopTimer() {
-	c.mu.Lock()
-	if c.timer != nil {
-		c.timer.Stop()
-	}
-	c.flushPending = false
-	c.mu.Unlock()
-}
-
-// Close stops the listener and all connections.
+// Close stops the listener and all connections. Frames already queued
+// are written first, under a one-second deadline so a stalled peer
+// cannot block shutdown; Close returns once every writer has exited.
 func (t *TCPTransport) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -346,13 +390,10 @@ func (t *TCPTransport) Close() error {
 	t.mu.Unlock()
 
 	err := t.listener.Close()
+	deadline := time.Now().Add(time.Second)
 	for _, c := range conns {
-		// Drain coalescing buffers before tearing down, under a short
-		// deadline: a stalled peer must not block shutdown.
-		_ = c.conn.SetWriteDeadline(time.Now().Add(time.Second))
-		c.flush()
-		c.stopTimer()
-		_ = c.conn.Close()
+		_ = c.conn.SetWriteDeadline(deadline)
+		c.close()
 	}
 	for _, c := range inbound {
 		_ = c.Close()
