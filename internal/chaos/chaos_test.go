@@ -1,7 +1,9 @@
 package chaos
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -16,6 +18,69 @@ func TestGenScheduleReplaysIdentically(t *testing.T) {
 	}
 	if reflect.DeepEqual(GenSchedule(1, 14), GenSchedule(2, 14)) {
 		t.Error("seeds 1 and 2 yielded identical schedules; generator ignores its seed?")
+	}
+}
+
+// TestGenSchedulePinned pins GenSchedule's exact output for three
+// seeds as (step, kind, count, cells, drop probability) tuples, so a
+// soak seed keeps naming the same fault script.
+func TestGenSchedulePinned(t *testing.T) {
+	want := map[int64][]string{
+		1: {
+			"0 publish 0 0 0.000000000",
+			"1 partition 0 2 0.000000000",
+			"2 publish 0 0 0.000000000",
+			"3 kill 1 0 0.000000000",
+			"4 loss-burst 0 0 0.395295734",
+			"5 publish 0 0 0.000000000",
+			"6 heal 0 0 0.000000000",
+			"6 loss-restore 0 0 0.000000000",
+			"7 restart 0 0 0.000000000",
+			"10 publish 0 0 0.000000000",
+			"11 publish 0 0 0.000000000",
+			"12 publish 0 0 0.000000000",
+			"13 publish 0 0 0.000000000",
+		},
+		7: {
+			"0 publish 0 0 0.000000000",
+			"2 partition 0 2 0.000000000",
+			"3 publish 0 0 0.000000000",
+			"4 kill 3 0 0.000000000",
+			"5 loss-burst 0 0 0.438997626",
+			"6 publish 0 0 0.000000000",
+			"7 heal 0 0 0.000000000",
+			"7 loss-restore 0 0 0.000000000",
+			"8 restart 0 0 0.000000000",
+			"9 publish 0 0 0.000000000",
+			"10 publish 0 0 0.000000000",
+			"11 publish 0 0 0.000000000",
+			"13 publish 0 0 0.000000000",
+		},
+		42: {
+			"0 publish 0 0 0.000000000",
+			"2 partition 0 2 0.000000000",
+			"3 publish 0 0 0.000000000",
+			"4 kill 2 0 0.000000000",
+			"5 loss-burst 0 0 0.458915789",
+			"6 publish 0 0 0.000000000",
+			"7 heal 0 0 0.000000000",
+			"7 loss-restore 0 0 0.000000000",
+			"8 restart 0 0 0.000000000",
+			"9 publish 0 0 0.000000000",
+			"11 publish 0 0 0.000000000",
+			"12 publish 0 0 0.000000000",
+			"13 publish 0 0 0.000000000",
+		},
+	}
+	for seed, w := range want {
+		var got []string
+		for _, f := range GenSchedule(seed, 14) {
+			got = append(got, fmt.Sprintf("%d %s %d %d %.9f", f.Step, f.Kind, f.Count, f.Cells, f.Rate))
+		}
+		if !reflect.DeepEqual(got, w) {
+			t.Errorf("seed %d: GenSchedule(%d, 14) =\n%s\nwant\n%s", seed, seed,
+				strings.Join(got, "\n"), strings.Join(w, "\n"))
+		}
 	}
 }
 

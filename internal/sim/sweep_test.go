@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
@@ -11,32 +13,30 @@ import (
 )
 
 // TestSweepWorkerCountInvariance is the orchestrator's determinism
-// gate: the same sweep on 1, 2 and 8 workers must produce deep-equal
-// figures and byte-identical CSVs — seeds derive from the job index,
-// never from scheduling.
+// gate: the same sweep on 1 and 8 workers must produce deep-equal
+// figures whose CSVs match the committed goldens — seeds derive from
+// the job index, never from scheduling.
 func TestSweepWorkerCountInvariance(t *testing.T) {
-	xs := []float64{0.5, 1.0}
+	want := readFigureGoldens(t)
 	for _, name := range []string{"fig8", "churn", "recovery"} {
 		var base *Figure
-		var baseCSV string
-		for _, workers := range []int{1, 2, 8} {
-			fig, rep, err := GenerateFigure(context.Background(), name, xs,
-				FigureOpts{RunsPerPoint: 2, SweepWorkers: workers})
+		for _, workers := range []int{1, 8} {
+			fig, rep, err := GenerateFigure(context.Background(), name, FigureXs(name, goldenPoints),
+				FigureOpts{RunsPerPoint: 1, SweepWorkers: workers})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
 			if rep.SweepWorkers != workers {
 				t.Errorf("%s: report workers = %d, want %d", name, rep.SweepWorkers, workers)
 			}
+			sum := sha256.Sum256([]byte(fig.CSV()))
+			if got := hex.EncodeToString(sum[:]); got != want[name] {
+				t.Errorf("%s workers=%d: CSV sha256 = %s, want %s:\n%s", name, workers, got, want[name], fig.CSV())
+			}
 			if base == nil {
-				base, baseCSV = fig, fig.CSV()
-				continue
-			}
-			if !reflect.DeepEqual(fig, base) {
+				base = fig
+			} else if !reflect.DeepEqual(fig, base) {
 				t.Errorf("%s: figure differs between workers=1 and workers=%d", name, workers)
-			}
-			if csv := fig.CSV(); csv != baseCSV {
-				t.Errorf("%s: CSV differs at workers=%d:\n%s\nvs\n%s", name, workers, csv, baseCSV)
 			}
 		}
 	}
