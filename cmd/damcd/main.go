@@ -24,8 +24,8 @@
 //	curl http://127.0.0.1:9100/metrics
 //
 // Soak mode stands up a whole in-process cluster instead of one hub
-// and drives it through a seeded fault schedule (kills, restarts, a
-// partition, a loss burst), grading delivery against an SLO:
+// and drives it through a seeded fault schedule (a crash wave, a flash
+// crowd, a partition, a loss burst), grading delivery against an SLO:
 //
 //	damcd -soak 24 -soakseed 7 -soaksteps 14 -soakslo 0.99
 //
@@ -49,6 +49,7 @@ import (
 
 	"damulticast"
 	"damulticast/internal/chaos"
+	"damulticast/internal/scenario"
 )
 
 func main() {
@@ -237,7 +238,7 @@ func runSoak(w io.Writer, n int, seed int64, steps int, slo float64) error {
 		Seed:      seed,
 		Tick:      15 * time.Millisecond,
 		Recovery:  true,
-		Schedule:  chaos.GenSchedule(seed, steps),
+		Schedule:  scenario.GenSchedule(seed, steps),
 		SLO:       slo,
 	}
 	fmt.Fprintf(w, "damcd soak: %d endpoints, seed %d, %d faults scheduled, SLO %.2f\n",

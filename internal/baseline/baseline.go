@@ -18,13 +18,12 @@
 package baseline
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"damulticast/internal/ids"
+	"damulticast/internal/scenario"
 	"damulticast/internal/simnet"
 	"damulticast/internal/topic"
 	"damulticast/internal/xrand"
@@ -62,11 +61,11 @@ type Config struct {
 	// identical for every value: all randomness flows through per-node
 	// or setup-only streams derived from Seed.
 	Workers int
-	// Schedule injects mid-run faults (crashes, restarts, partitions,
-	// loss bursts, stragglers), mirroring the sim scenario presets so
-	// baselines face the same adversity as da-multicast in head-to-head
-	// figures. Events apply between rounds, in Round order.
-	Schedule []ScheduleEvent
+	// Schedule injects mid-run faults (crash waves, flash crowds,
+	// partitions, loss bursts, stragglers) in the vocabulary the
+	// simulator applies, so head-to-head figures hand both sides the
+	// same value. Events apply between rounds, in Round order.
+	Schedule []scenario.Event
 }
 
 // Errors.
@@ -93,10 +92,8 @@ func (c Config) validate() error {
 	if c.AliveFraction < 0 || c.AliveFraction > 1 {
 		return fmt.Errorf("%w: %g", ErrBadAlive, c.AliveFraction)
 	}
-	for i, ev := range c.Schedule {
-		if err := ev.validate(); err != nil {
-			return fmt.Errorf("baseline: schedule[%d]: %w", i, err)
-		}
+	if err := checkSchedule(c.Schedule); err != nil {
+		return fmt.Errorf("baseline: schedule: %w", err)
 	}
 	return nil
 }
@@ -282,11 +279,7 @@ func (w *world) publishAndRun() (*Result, error) {
 	pub := pubs[w.publish.Intn(len(pubs))]
 	ev := bEvent{id: ids.EventID{Origin: pub.id, Seq: 1}, topic: cfg.PublishTopic}
 
-	events := make([]ScheduleEvent, len(cfg.Schedule))
-	copy(events, cfg.Schedule)
-	slices.SortStableFunc(events, func(a, b ScheduleEvent) int {
-		return cmp.Compare(a.Round, b.Round)
-	})
+	events := scenario.Sorted(cfg.Schedule)
 
 	maxRounds := cfg.MaxRounds
 	if maxRounds <= 0 {

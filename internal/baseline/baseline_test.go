@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"damulticast/internal/scenario"
 	"damulticast/internal/topic"
 )
 
@@ -241,25 +242,34 @@ func TestConfigValidateTable(t *testing.T) {
 		{"alive negative", func(c *Config) { c.AliveFraction = -0.01 }, ErrBadAlive},
 		{"alive above one", func(c *Config) { c.AliveFraction = 1.01 }, ErrBadAlive},
 		{"schedule negative round", func(c *Config) {
-			c.Schedule = []ScheduleEvent{{Round: -1, Kind: ScheduleHeal}}
-		}, ErrBadSchedule},
+			c.Schedule = []scenario.Event{{Round: -1, Kind: scenario.Heal}}
+		}, scenario.ErrBadEvent},
 		{"schedule unknown kind", func(c *Config) {
-			c.Schedule = []ScheduleEvent{{Round: 1}}
-		}, ErrBadSchedule},
+			c.Schedule = []scenario.Event{{Round: 1}}
+		}, scenario.ErrKind},
 		{"schedule crash fraction", func(c *Config) {
-			c.Schedule = []ScheduleEvent{{Round: 1, Kind: ScheduleCrash, Fraction: 2}}
-		}, ErrBadSchedule},
+			c.Schedule = []scenario.Event{{Round: 1, Kind: scenario.CrashWave, Fraction: 2}}
+		}, scenario.ErrBadEvent},
 		{"schedule partition one cell", func(c *Config) {
-			c.Schedule = []ScheduleEvent{{Round: 1, Kind: SchedulePartition, Cells: 1}}
-		}, ErrBadSchedule},
+			c.Schedule = []scenario.Event{{Round: 1, Kind: scenario.Partition, Cells: 1}}
+		}, scenario.ErrBadEvent},
 		{"schedule burst psucc", func(c *Config) {
-			c.Schedule = []ScheduleEvent{{Round: 1, Kind: ScheduleLossBurst, PSucc: 0}}
-		}, ErrBadSchedule},
+			c.Schedule = []scenario.Event{{Round: 1, Kind: scenario.LossBurst, PSucc: 0}}
+		}, scenario.ErrBadEvent},
 		{"schedule stragglers no delay", func(c *Config) {
-			c.Schedule = []ScheduleEvent{{Round: 1, Kind: ScheduleStragglers, Fraction: 0.5}}
-		}, ErrBadSchedule},
+			c.Schedule = []scenario.Event{{Round: 1, Kind: scenario.Stragglers, Fraction: 0.5}}
+		}, scenario.ErrBadEvent},
+		{"schedule topic", func(c *Config) {
+			c.Schedule = []scenario.Event{{Round: 1, Kind: scenario.CrashWave, Topic: ".t1", Fraction: 0.5}}
+		}, scenario.ErrTopic},
+		{"schedule count", func(c *Config) {
+			c.Schedule = []scenario.Event{{Round: 1, Kind: scenario.CrashWave, Count: 3}}
+		}, scenario.ErrBadEvent},
+		{"schedule isolate", func(c *Config) {
+			c.Schedule = []scenario.Event{{Round: 1, Kind: scenario.Isolate, Topic: ".t1"}}
+		}, scenario.ErrKind},
 		{"schedule stragglers clear ok", func(c *Config) {
-			c.Schedule = []ScheduleEvent{{Round: 1, Kind: ScheduleStragglers, Fraction: 0}}
+			c.Schedule = []scenario.Event{{Round: 1, Kind: scenario.Stragglers, Fraction: 0}}
 		}, nil},
 	}
 	for _, tc := range cases {
@@ -319,15 +329,15 @@ func TestReliabilityEdgeCases(t *testing.T) {
 
 // chaosSchedule is a representative multi-fault schedule used by the
 // determinism tests.
-func chaosSchedule() []ScheduleEvent {
-	return []ScheduleEvent{
-		{Round: 0, Kind: ScheduleStragglers, Fraction: 0.2, Delay: 2},
-		{Round: 1, Kind: SchedulePartition, Cells: 2},
-		{Round: 2, Kind: ScheduleCrash, Fraction: 0.15},
-		{Round: 3, Kind: ScheduleLossBurst, PSucc: 0.5},
-		{Round: 5, Kind: ScheduleHeal},
-		{Round: 6, Kind: ScheduleLossRestore},
-		{Round: 8, Kind: ScheduleRestart, Fraction: 1},
+func chaosSchedule() []scenario.Event {
+	return []scenario.Event{
+		{Round: 0, Kind: scenario.Stragglers, Fraction: 0.2, Delay: 2},
+		{Round: 1, Kind: scenario.Partition, Cells: 2},
+		{Round: 2, Kind: scenario.CrashWave, Fraction: 0.15},
+		{Round: 3, Kind: scenario.LossBurst, PSucc: 0.5},
+		{Round: 5, Kind: scenario.Heal},
+		{Round: 6, Kind: scenario.LossRestore},
+		{Round: 8, Kind: scenario.FlashCrowd, Fraction: 1},
 	}
 }
 
@@ -397,7 +407,7 @@ func TestScheduleFaultsDegradeAndPartitionConfines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Schedule = []ScheduleEvent{{Round: 0, Kind: SchedulePartition, Cells: 2}}
+	cfg.Schedule = []scenario.Event{{Round: 0, Kind: scenario.Partition, Cells: 2}}
 	cut, err := RunBroadcast(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -409,9 +419,9 @@ func TestScheduleFaultsDegradeAndPartitionConfines(t *testing.T) {
 	// everyone later brings the full population back into the
 	// denominator but nothing re-disseminates, so reliability stays far
 	// below the clean run.
-	cfg.Schedule = []ScheduleEvent{
-		{Round: 1, Kind: ScheduleCrash, Fraction: 1},
-		{Round: 10, Kind: ScheduleRestart, Fraction: 1},
+	cfg.Schedule = []scenario.Event{
+		{Round: 1, Kind: scenario.CrashWave, Fraction: 1},
+		{Round: 10, Kind: scenario.FlashCrowd, Fraction: 1},
 	}
 	wiped, err := RunBroadcast(cfg)
 	if err != nil {

@@ -1,107 +1,51 @@
 package baseline
 
 import (
-	"errors"
 	"fmt"
 
 	"damulticast/internal/ids"
+	"damulticast/internal/scenario"
 	"damulticast/internal/simnet"
 	"damulticast/internal/xrand"
 )
 
-// ScheduleKind identifies a mid-run fault injected into a baseline
-// run. The kinds mirror internal/sim's scenario events so head-to-head
-// figures can subject da-multicast and the baselines to the same
-// adversity.
-type ScheduleKind int
-
-const (
-	// ScheduleCrash kills Fraction of the currently-alive processes.
-	ScheduleCrash ScheduleKind = iota + 1
-	// ScheduleRestart revives Fraction of the currently-down processes.
-	// Like the sim scenario runner's flash crowd, the process model's
-	// state survives the outage — but a restartee that had not yet seen
-	// the event stays without it: the one-shot epidemic is long gone
-	// and baselines have no recovery plane to win it back.
-	ScheduleRestart
-	// SchedulePartition splits the population into Cells cells and
-	// severs every inter-cell link. Cell assignment uses the same hash
-	// as the sim scenario runner, so paired runs partition identically.
-	SchedulePartition
-	// ScheduleHeal removes the partition.
-	ScheduleHeal
-	// ScheduleLossBurst drops channel success to PSucc.
-	ScheduleLossBurst
-	// ScheduleLossRestore returns channel success to the configured
-	// baseline PSucc.
-	ScheduleLossRestore
-	// ScheduleStragglers makes Fraction of sends spend 1..Delay extra
-	// rounds in flight (Fraction <= 0 clears). Pure-hash decisions keep
-	// worker invariance.
-	ScheduleStragglers
-)
-
-// ErrBadSchedule reports an invalid schedule event.
-var ErrBadSchedule = errors.New("baseline: invalid schedule event")
-
-// ScheduleEvent is one fault application at the end of round Round
-// (round 0 applies before the initial publish fanout).
-type ScheduleEvent struct {
-	Round int
-	Kind  ScheduleKind
-	// Fraction of processes (Crash/Restart) or sends (Stragglers).
-	Fraction float64
-	// Cells for Partition (>= 2).
-	Cells int
-	// PSucc for LossBurst.
-	PSucc float64
-	// Delay is the maximum extra rounds for Stragglers (>= 1 when
-	// Fraction > 0).
-	Delay int
-}
-
-func (ev ScheduleEvent) validate() error {
-	if ev.Round < 0 {
-		return fmt.Errorf("%w: negative round %d", ErrBadSchedule, ev.Round)
+// checkSchedule rejects what a baseline world cannot apply: its faults
+// hit the whole population, so no event may target a topic; churn takes
+// a Fraction, not a Count; and there are no groups to isolate. Publish
+// events are accepted and skipped — the single publication is implicit
+// at round 0.
+func checkSchedule(events []scenario.Event) error {
+	if err := scenario.Validate(events); err != nil {
+		return err
 	}
-	switch ev.Kind {
-	case ScheduleCrash, ScheduleRestart:
-		if ev.Fraction < 0 || ev.Fraction > 1 {
-			return fmt.Errorf("%w: fraction %g", ErrBadSchedule, ev.Fraction)
+	for i, ev := range events {
+		if ev.Kind == scenario.Isolate {
+			return fmt.Errorf("event %d: %w: baselines cannot apply %v", i, scenario.ErrKind, ev.Kind)
 		}
-	case SchedulePartition:
-		if ev.Cells < 2 {
-			return fmt.Errorf("%w: partition needs >= 2 cells, got %d", ErrBadSchedule, ev.Cells)
+		if ev.Topic != "" {
+			return fmt.Errorf("event %d: %w: baselines fault every process, not %s", i, scenario.ErrTopic, ev.Topic)
 		}
-	case ScheduleHeal, ScheduleLossRestore:
-		// No parameters.
-	case ScheduleLossBurst:
-		if ev.PSucc <= 0 || ev.PSucc > 1 {
-			return fmt.Errorf("%w: psucc %g", ErrBadSchedule, ev.PSucc)
+		if ev.Count != 0 {
+			return fmt.Errorf("event %d: %w: baselines take a Fraction, not a Count", i, scenario.ErrBadEvent)
 		}
-	case ScheduleStragglers:
-		if ev.Fraction < 0 || ev.Fraction > 1 {
-			return fmt.Errorf("%w: fraction %g", ErrBadSchedule, ev.Fraction)
-		}
-		if ev.Fraction > 0 && ev.Delay < 1 {
-			return fmt.Errorf("%w: stragglers need Delay >= 1", ErrBadSchedule)
-		}
-	default:
-		return fmt.Errorf("%w: unknown kind %d", ErrBadSchedule, ev.Kind)
 	}
 	return nil
 }
 
 // applySchedule executes one fault between rounds (serial context).
-func (w *world) applySchedule(ev ScheduleEvent) {
+func (w *world) applySchedule(ev scenario.Event) {
 	switch ev.Kind {
-	case ScheduleCrash:
+	case scenario.CrashWave:
 		alive := w.net.AliveIDs()
 		n := int(float64(len(alive)) * ev.Fraction)
 		for _, id := range xrand.SampleIDs(w.sched, alive, n) {
 			_ = w.net.Crash(id)
 		}
-	case ScheduleRestart:
+	case scenario.FlashCrowd:
+		// The process model's state survives the outage, but a
+		// restartee that had not yet seen the event stays without it:
+		// the one-shot epidemic is long gone and baselines have no
+		// recovery plane to win it back.
 		var down []ids.ProcessID
 		for _, n := range w.nodes {
 			if w.net.Down(n.id) {
@@ -112,22 +56,21 @@ func (w *world) applySchedule(ev ScheduleEvent) {
 		for _, id := range xrand.SampleIDs(w.sched, down, n) {
 			w.net.Recover(id)
 		}
-	case SchedulePartition:
-		seed := w.cfg.Seed + int64(ev.Round)
+	case scenario.Partition:
 		cells := make(map[ids.ProcessID]int, len(w.nodes))
 		for _, n := range w.nodes {
-			cells[n.id] = int(xrand.HashUniform(seed, "cell:"+string(n.id)) * float64(ev.Cells))
+			cells[n.id] = scenario.Cell(w.cfg.Seed, ev.Round, n.id, ev.Cells)
 		}
 		w.net.SetLinkDown(func(from, to ids.ProcessID) bool {
 			return cells[from] != cells[to]
 		})
-	case ScheduleHeal:
+	case scenario.Heal:
 		w.net.SetLinkDown(nil)
-	case ScheduleLossBurst:
+	case scenario.LossBurst:
 		w.net.PSucc = ev.PSucc
-	case ScheduleLossRestore:
+	case scenario.LossRestore:
 		w.net.PSucc = w.cfg.PSucc
-	case ScheduleStragglers:
+	case scenario.Stragglers:
 		if ev.Fraction <= 0 {
 			w.net.SetLinkDelay(nil)
 			return

@@ -2,16 +2,18 @@
 // schedules. Unlike the round-driven simulations of internal/sim, a
 // chaos run stands up N real daMulticast endpoints in one OS process —
 // each a Hub over its own TCP listener — publishes multi-topic
-// traffic, and injects faults from a deterministic schedule: endpoint
-// kills and restarts, network partitions and heals, loss bursts. The
+// traffic, and injects faults from a deterministic internal/scenario
+// schedule: crash waves that kill endpoints and flash crowds that
+// restart them, network partitions and heals, loss bursts. The
 // run's Report grades the cluster against a delivery SLO (what
 // fraction of the published events reached every surviving subscriber
 // by the end of the settle window) with per-fault-type snapshots of
 // the hubs' own counters.
 //
-// The schedule is deterministic (GenSchedule is a pure function of its
-// seed) but the run itself is wall-clock concurrent code over real
-// sockets — the harness asserts outcomes (SLOs), not traces.
+// The schedule is deterministic (scenario.GenSchedule is a pure
+// function of its seed) but the run itself is wall-clock concurrent
+// code over real sockets — the harness asserts outcomes (SLOs), not
+// traces.
 package chaos
 
 import (
@@ -19,11 +21,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"damulticast"
+	"damulticast/internal/scenario"
 	"damulticast/internal/topic"
 	"damulticast/internal/xrand"
 )
@@ -62,8 +65,10 @@ type Config struct {
 	// an event can be re-ignited by its neighbors above and below.
 	// Requires Recovery and Hierarchy.
 	CrossRecovery bool
-	// Schedule is the fault script (see GenSchedule for a seeded one).
-	Schedule []Fault
+	// Schedule is the fault script (see scenario.GenSchedule for a
+	// seeded one). An event of Round r applies at the start of step r;
+	// soakKinds lists the kinds the soak applies.
+	Schedule []scenario.Event
 	// SLO is the target delivery fraction over surviving subscribers
 	// in [0, 1]; the Report records whether the run met it.
 	SLO float64
@@ -123,9 +128,40 @@ func (c Config) validate() error {
 	if len(c.Schedule) == 0 {
 		return fmt.Errorf("%w: empty schedule", ErrBadConfig)
 	}
-	for i, f := range c.Schedule {
-		if err := f.validate(); err != nil {
-			return fmt.Errorf("fault %d: %w", i, err)
+	return c.checkSchedule()
+}
+
+// soakKinds are the scenario kinds a soak applies: it has no straggler
+// links and no group isolation.
+var soakKinds = []scenario.Kind{
+	scenario.Publish, scenario.CrashWave, scenario.FlashCrowd,
+	scenario.Partition, scenario.Heal, scenario.LossBurst, scenario.LossRestore,
+}
+
+// checkSchedule rejects what the soak cannot apply. Crash waves and
+// flash crowds count endpoints (a crash wave at least one; a flash
+// crowd of 0 revives every down endpoint) rather than take a Fraction,
+// and only they may target a topic, which must be one of Topics.
+func (c Config) checkSchedule() error {
+	if err := scenario.Validate(c.Schedule); err != nil {
+		return err
+	}
+	for i, ev := range c.Schedule {
+		var err error
+		switch {
+		case !slices.Contains(soakKinds, ev.Kind):
+			err = fmt.Errorf("%w: the soak cannot apply %v", scenario.ErrKind, ev.Kind)
+		case ev.Fraction != 0:
+			err = fmt.Errorf("%w: the soak takes a Count, not a Fraction", scenario.ErrBadEvent)
+		case ev.Kind == scenario.CrashWave && ev.Count < 1:
+			err = fmt.Errorf("%w: crash-wave needs Count >= 1", scenario.ErrBadEvent)
+		case ev.Topic != "" && ev.Kind != scenario.CrashWave && ev.Kind != scenario.FlashCrowd:
+			err = fmt.Errorf("%w: only crash-wave and flash-crowd take a topic, not %v", scenario.ErrBadEvent, ev.Kind)
+		case ev.Topic != "" && !slices.Contains(c.Topics, string(ev.Topic)):
+			err = fmt.Errorf("%w: %s", scenario.ErrTopic, ev.Topic)
+		}
+		if err != nil {
+			return fmt.Errorf("event %d: %w", i, err)
 		}
 	}
 	return nil
@@ -163,7 +199,7 @@ type Report struct {
 	Reliability float64
 	// AliveEndpoints is how many endpoints were up at grading time.
 	AliveEndpoints int
-	// FaultCounts tallies applied faults by kind name.
+	// FaultCounts tallies applied events by scenario kind name.
 	FaultCounts map[string]int
 	// AfterFault snapshots the cluster counters right after the last
 	// application of each fault kind.
@@ -245,25 +281,23 @@ func Run(cfg Config) (*Report, error) {
 	}
 	time.Sleep(2 * cfg.Tick)
 
-	sched := make([]Fault, len(cfg.Schedule))
-	copy(sched, cfg.Schedule)
-	sort.SliceStable(sched, func(i, j int) bool { return sched[i].Step < sched[j].Step })
+	sched := scenario.Sorted(cfg.Schedule)
 	report := &Report{
 		Published:   make(map[string]int, len(cfg.Topics)),
 		PerTopic:    make(map[string]float64, len(cfg.Topics)),
 		FaultCounts: make(map[string]int),
 		AfterFault:  make(map[string]NetStats),
 	}
-	maxStep := sched[len(sched)-1].Step
+	maxStep := sched[len(sched)-1].Round
 	fi := 0
 	for step := 0; step <= maxStep; step++ {
-		for fi < len(sched) && sched[fi].Step <= step {
-			f := sched[fi]
-			if err := h.apply(f); err != nil {
+		for fi < len(sched) && sched[fi].Round <= step {
+			ev := sched[fi]
+			if err := h.apply(ev); err != nil {
 				return nil, err
 			}
-			report.FaultCounts[f.Kind.String()]++
-			report.AfterFault[f.Kind.String()] = h.netStats()
+			report.FaultCounts[ev.Kind.String()]++
+			report.AfterFault[ev.Kind.String()] = h.netStats()
 			fi++
 		}
 		time.Sleep(cfg.Step)
@@ -417,21 +451,16 @@ func (h *harness) record(idx int, tp, id string) {
 // subscribes reports whether the endpoint is assigned topic t (by the
 // static assignment, which survives kills — a down endpoint keeps its
 // topics for restart).
-func subscribes(ep *endpoint, t string) bool {
-	for _, et := range ep.topics {
-		if et == t {
-			return true
-		}
-	}
-	return false
+func subscribes(ep *endpoint, t topic.Topic) bool {
+	return slices.Contains(ep.topics, string(t))
 }
 
-// apply executes one scheduled fault.
-func (h *harness) apply(f Fault) error {
-	switch f.Kind {
-	case FaultPublish:
+// apply executes one scheduled event.
+func (h *harness) apply(ev scenario.Event) error {
+	switch ev.Kind {
+	case scenario.Publish:
 		return h.publishAll()
-	case FaultKill:
+	case scenario.CrashWave:
 		var alive []*endpoint
 		aliveTotal := 0
 		for _, ep := range h.eps {
@@ -439,11 +468,11 @@ func (h *harness) apply(f Fault) error {
 				continue
 			}
 			aliveTotal++
-			if f.Topic == "" || subscribes(ep, f.Topic) {
+			if ev.Topic == "" || subscribes(ep, ev.Topic) {
 				alive = append(alive, ep)
 			}
 		}
-		n := f.Count
+		n := ev.Count
 		if n > len(alive) {
 			n = len(alive)
 		}
@@ -454,14 +483,14 @@ func (h *harness) apply(f Fault) error {
 		for i := 0; i < n; i++ {
 			h.kill(alive[perm[i]])
 		}
-	case FaultRestart:
+	case scenario.FlashCrowd:
 		var down []*endpoint
 		for _, ep := range h.eps {
-			if ep.down && (f.Topic == "" || subscribes(ep, f.Topic)) {
+			if ep.down && (ev.Topic == "" || subscribes(ep, ev.Topic)) {
 				down = append(down, ep)
 			}
 		}
-		n := f.Count
+		n := ev.Count
 		if n == 0 || n > len(down) {
 			n = len(down)
 		}
@@ -471,20 +500,20 @@ func (h *harness) apply(f Fault) error {
 				return err
 			}
 		}
-	case FaultPartition:
+	case scenario.Partition:
 		cells := make(map[string]int, len(h.eps))
 		for _, ep := range h.eps {
 			// Cell by endpoint stripe, deliberately not by topic parity:
 			// every topic group must span cells for the partition to
 			// bite.
-			cells[ep.addr] = (ep.idx / len(h.cfg.Topics)) % f.Cells
+			cells[ep.addr] = (ep.idx / len(h.cfg.Topics)) % ev.Cells
 		}
 		h.ctrl.setCells(cells)
-	case FaultHeal:
+	case scenario.Heal:
 		h.ctrl.setCells(nil)
-	case FaultLoss:
-		h.ctrl.setLoss(f.Rate)
-	case FaultLossRestore:
+	case scenario.LossBurst:
+		h.ctrl.setLoss(1 - ev.PSucc)
+	case scenario.LossRestore:
 		h.ctrl.setLoss(0)
 	}
 	return nil

@@ -1,22 +1,25 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"damulticast/internal/scenario"
 )
 
 func TestGenScheduleReplaysIdentically(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
-		a := GenSchedule(seed, 14)
-		b := GenSchedule(seed, 14)
+		a := scenario.GenSchedule(seed, 14)
+		b := scenario.GenSchedule(seed, 14)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: schedule not reproducible:\n%v\n%v", seed, a, b)
 		}
 	}
-	if reflect.DeepEqual(GenSchedule(1, 14), GenSchedule(2, 14)) {
+	if reflect.DeepEqual(scenario.GenSchedule(1, 14), scenario.GenSchedule(2, 14)) {
 		t.Error("seeds 1 and 2 yielded identical schedules; generator ignores its seed?")
 	}
 }
@@ -30,12 +33,12 @@ func TestGenSchedulePinned(t *testing.T) {
 			"0 publish 0 0 0.000000000",
 			"1 partition 0 2 0.000000000",
 			"2 publish 0 0 0.000000000",
-			"3 kill 1 0 0.000000000",
+			"3 crash-wave 1 0 0.000000000",
 			"4 loss-burst 0 0 0.395295734",
 			"5 publish 0 0 0.000000000",
 			"6 heal 0 0 0.000000000",
 			"6 loss-restore 0 0 0.000000000",
-			"7 restart 0 0 0.000000000",
+			"7 flash-crowd 0 0 0.000000000",
 			"10 publish 0 0 0.000000000",
 			"11 publish 0 0 0.000000000",
 			"12 publish 0 0 0.000000000",
@@ -45,12 +48,12 @@ func TestGenSchedulePinned(t *testing.T) {
 			"0 publish 0 0 0.000000000",
 			"2 partition 0 2 0.000000000",
 			"3 publish 0 0 0.000000000",
-			"4 kill 3 0 0.000000000",
+			"4 crash-wave 3 0 0.000000000",
 			"5 loss-burst 0 0 0.438997626",
 			"6 publish 0 0 0.000000000",
 			"7 heal 0 0 0.000000000",
 			"7 loss-restore 0 0 0.000000000",
-			"8 restart 0 0 0.000000000",
+			"8 flash-crowd 0 0 0.000000000",
 			"9 publish 0 0 0.000000000",
 			"10 publish 0 0 0.000000000",
 			"11 publish 0 0 0.000000000",
@@ -60,12 +63,12 @@ func TestGenSchedulePinned(t *testing.T) {
 			"0 publish 0 0 0.000000000",
 			"2 partition 0 2 0.000000000",
 			"3 publish 0 0 0.000000000",
-			"4 kill 2 0 0.000000000",
+			"4 crash-wave 2 0 0.000000000",
 			"5 loss-burst 0 0 0.458915789",
 			"6 publish 0 0 0.000000000",
 			"7 heal 0 0 0.000000000",
 			"7 loss-restore 0 0 0.000000000",
-			"8 restart 0 0 0.000000000",
+			"8 flash-crowd 0 0 0.000000000",
 			"9 publish 0 0 0.000000000",
 			"11 publish 0 0 0.000000000",
 			"12 publish 0 0 0.000000000",
@@ -74,32 +77,37 @@ func TestGenSchedulePinned(t *testing.T) {
 	}
 	for seed, w := range want {
 		var got []string
-		for _, f := range GenSchedule(seed, 14) {
-			got = append(got, fmt.Sprintf("%d %s %d %d %.9f", f.Step, f.Kind, f.Count, f.Cells, f.Rate))
+		for _, ev := range scenario.GenSchedule(seed, 14) {
+			drop := 0.0
+			if ev.Kind == scenario.LossBurst {
+				drop = 1 - ev.PSucc
+			}
+			got = append(got, fmt.Sprintf("%d %s %d %d %.9f", ev.Round, ev.Kind, ev.Count, ev.Cells, drop))
 		}
 		if !reflect.DeepEqual(got, w) {
-			t.Errorf("seed %d: GenSchedule(%d, 14) =\n%s\nwant\n%s", seed, seed,
+			t.Errorf("seed %d: scenario.GenSchedule(%d, 14) =\n%s\nwant\n%s", seed, seed,
 				strings.Join(got, "\n"), strings.Join(w, "\n"))
 		}
 	}
 }
 
 func TestGenScheduleCoversEveryFaultKind(t *testing.T) {
-	sched := GenSchedule(3, 14)
-	kinds := make(map[FaultKind]bool)
-	for _, f := range sched {
-		if err := f.validate(); err != nil {
-			t.Errorf("generated fault invalid: %v", err)
-		}
-		kinds[f.Kind] = true
+	cfg := partitionConfig(true)
+	cfg.Schedule = scenario.GenSchedule(3, 14)
+	if err := cfg.withDefaults().validate(); err != nil {
+		t.Errorf("generated schedule invalid: %v", err)
 	}
-	for k := FaultPublish; k <= FaultLossRestore; k++ {
+	kinds := make(map[scenario.Kind]bool)
+	for _, ev := range cfg.Schedule {
+		kinds[ev.Kind] = true
+	}
+	for _, k := range soakKinds {
 		if !kinds[k] {
 			t.Errorf("schedule never fires %v", k)
 		}
 	}
-	last := sched[len(sched)-1]
-	if last.Kind != FaultPublish {
+	last := cfg.Schedule[len(cfg.Schedule)-1]
+	if last.Kind != scenario.Publish {
 		t.Errorf("schedule ends with %v, want a trailing publish", last.Kind)
 	}
 }
@@ -107,22 +115,31 @@ func TestGenScheduleCoversEveryFaultKind(t *testing.T) {
 func TestFaultValidate(t *testing.T) {
 	cases := []struct {
 		name string
-		f    Fault
-		ok   bool
+		ev   scenario.Event
+		want error // nil = valid
 	}{
-		{"publish", Fault{Kind: FaultPublish}, true},
-		{"negative step", Fault{Step: -1, Kind: FaultPublish}, false},
-		{"kill no count", Fault{Kind: FaultKill}, false},
-		{"kill", Fault{Kind: FaultKill, Count: 2}, true},
-		{"partition one cell", Fault{Kind: FaultPartition, Cells: 1}, false},
-		{"partition", Fault{Kind: FaultPartition, Cells: 2}, true},
-		{"loss rate 1", Fault{Kind: FaultLoss, Rate: 1}, false},
-		{"loss", Fault{Kind: FaultLoss, Rate: 0.3}, true},
-		{"unknown", Fault{Kind: FaultKind(99)}, false},
+		{"publish", scenario.Event{Kind: scenario.Publish}, nil},
+		{"negative step", scenario.Event{Round: -1, Kind: scenario.Publish}, scenario.ErrBadEvent},
+		{"kill no count", scenario.Event{Kind: scenario.CrashWave}, scenario.ErrBadEvent},
+		{"kill", scenario.Event{Kind: scenario.CrashWave, Count: 2}, nil},
+		{"kill fraction", scenario.Event{Kind: scenario.CrashWave, Count: 2, Fraction: 0.5}, scenario.ErrBadEvent},
+		{"kill topic", scenario.Event{Kind: scenario.CrashWave, Count: 2, Topic: ".beta"}, nil},
+		{"kill unknown topic", scenario.Event{Kind: scenario.CrashWave, Count: 2, Topic: ".nosuch"}, scenario.ErrTopic},
+		{"restart unknown topic", scenario.Event{Kind: scenario.FlashCrowd, Topic: ".nosuch"}, scenario.ErrTopic},
+		{"partition topic", scenario.Event{Kind: scenario.Partition, Cells: 2, Topic: ".beta"}, scenario.ErrBadEvent},
+		{"partition one cell", scenario.Event{Kind: scenario.Partition, Cells: 1}, scenario.ErrBadEvent},
+		{"partition", scenario.Event{Kind: scenario.Partition, Cells: 2}, nil},
+		{"loss rate 1", scenario.Event{Kind: scenario.LossBurst, PSucc: 0}, scenario.ErrBadEvent},
+		{"loss", scenario.Event{Kind: scenario.LossBurst, PSucc: 0.7}, nil},
+		{"stragglers", scenario.Event{Kind: scenario.Stragglers, Fraction: 0.2, Delay: 2}, scenario.ErrKind},
+		{"unknown", scenario.Event{Kind: scenario.Kind(99)}, scenario.ErrKind},
 	}
 	for _, tc := range cases {
-		if err := tc.f.validate(); (err == nil) != tc.ok {
-			t.Errorf("%s: validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		cfg := partitionConfig(true)
+		cfg.Schedule = []scenario.Event{tc.ev}
+		err := cfg.withDefaults().validate()
+		if (err == nil) != (tc.want == nil) || (tc.want != nil && !errors.Is(err, tc.want)) {
+			t.Errorf("%s: validate() = %v, want %v", tc.name, err, tc.want)
 		}
 	}
 }
@@ -130,13 +147,13 @@ func TestFaultValidate(t *testing.T) {
 // partitionSchedule publishes once on a healthy cluster, then twice
 // inside a two-cell partition, then heals: without recovery the
 // cross-cell halves permanently miss the partitioned events.
-func partitionSchedule() []Fault {
-	return []Fault{
-		{Step: 0, Kind: FaultPublish},
-		{Step: 1, Kind: FaultPartition, Cells: 2},
-		{Step: 2, Kind: FaultPublish},
-		{Step: 3, Kind: FaultPublish},
-		{Step: 5, Kind: FaultHeal},
+func partitionSchedule() []scenario.Event {
+	return []scenario.Event{
+		{Round: 0, Kind: scenario.Publish},
+		{Round: 1, Kind: scenario.Partition, Cells: 2},
+		{Round: 2, Kind: scenario.Publish},
+		{Round: 3, Kind: scenario.Publish},
+		{Round: 5, Kind: scenario.Heal},
 	}
 }
 
@@ -202,7 +219,7 @@ func TestChaosSoak(t *testing.T) {
 		Step:      80 * time.Millisecond,
 		Settle:    2 * time.Second,
 		Recovery:  true,
-		Schedule:  GenSchedule(5, 14),
+		Schedule:  scenario.GenSchedule(5, 14),
 		SLO:       0.99,
 	}
 	start := time.Now()
@@ -219,7 +236,7 @@ func TestChaosSoak(t *testing.T) {
 	if rep.AliveEndpoints != cfg.Endpoints {
 		t.Errorf("%d endpoints alive at end, want %d (schedule restarts everyone)", rep.AliveEndpoints, cfg.Endpoints)
 	}
-	for _, kind := range []string{"publish", "kill", "restart", "partition", "heal", "loss-burst", "loss-restore"} {
+	for _, kind := range []string{"publish", "crash-wave", "flash-crowd", "partition", "heal", "loss-burst", "loss-restore"} {
 		if rep.FaultCounts[kind] == 0 {
 			t.Errorf("fault kind %s never applied", kind)
 		}
@@ -247,11 +264,11 @@ func hierarchyTwinConfig(cross bool) Config {
 		Settle:        2 * time.Second,
 		Recovery:      true,
 		CrossRecovery: cross,
-		Schedule: []Fault{
-			{Step: 0, Kind: FaultKill, Count: 64, Topic: ".p"},
-			{Step: 1, Kind: FaultPublish},
-			{Step: 4, Kind: FaultRestart, Topic: ".p"},
-			{Step: 8, Kind: FaultPublish},
+		Schedule: []scenario.Event{
+			{Round: 0, Kind: scenario.CrashWave, Count: 64, Topic: ".p"},
+			{Round: 1, Kind: scenario.Publish},
+			{Round: 4, Kind: scenario.FlashCrowd, Topic: ".p"},
+			{Round: 8, Kind: scenario.Publish},
 		},
 		SLO: 0.99,
 	}
@@ -313,7 +330,7 @@ func TestConfigValidate(t *testing.T) {
 		{"duplicate topic", func(c *Config) { c.Topics = []string{".a", ".a"} }},
 		{"bad slo", func(c *Config) { c.SLO = 1.5 }},
 		{"empty schedule", func(c *Config) { c.Schedule = nil }},
-		{"bad fault", func(c *Config) { c.Schedule = []Fault{{Kind: FaultPartition, Cells: 1}} }},
+		{"bad fault", func(c *Config) { c.Schedule = []scenario.Event{{Kind: scenario.Partition, Cells: 1}} }},
 	}
 	for _, tc := range cases {
 		cfg := base

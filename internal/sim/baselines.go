@@ -3,6 +3,7 @@ package sim
 import (
 	"damulticast/internal/baseline"
 	"damulticast/internal/core"
+	"damulticast/internal/scenario"
 	"damulticast/internal/sizing"
 	"damulticast/internal/topic"
 )
@@ -88,45 +89,27 @@ func baselinesBurst(x float64) float64 {
 	return 0.15
 }
 
-// baselinesScenario is the da-multicast side of the shared schedule.
-// The partition and stragglers are installed before the publish, so
-// the very first fanout already faces them — mirroring the baseline
-// schedule's round-0 semantics.
-func baselinesScenario(x float64) Scenario {
-	return Scenario{
-		Name:   "baselines",
-		Rounds: baselinesRounds,
-		Events: []ScenarioEvent{
-			{Round: 0, Kind: ScenarioStragglers, Fraction: 0.2, Delay: 2},
-			{Round: 0, Kind: ScenarioPartition, Cells: 2},
-			{Round: 0, Kind: ScenarioPublish},
-			{Round: 2, Kind: ScenarioCrashWave, Fraction: 0.15},
-			{Round: 4, Kind: ScenarioLossBurst, PSucc: baselinesBurst(x)},
-			{Round: 8, Kind: ScenarioHeal},
-			{Round: 9, Kind: ScenarioLossRestore},
-			{Round: 12, Kind: ScenarioFlashCrowd, Fraction: 1},
-		},
-	}
-}
-
-// baselinesSchedule is the identical adversity for the baseline
-// algorithms. Partition cells and straggler coins hash the same seeds
-// and process ids as the scenario above, so paired runs see the same
-// cells and the same slow links.
-func baselinesSchedule(x float64) []baseline.ScheduleEvent {
-	return []baseline.ScheduleEvent{
-		{Round: 0, Kind: baseline.ScheduleStragglers, Fraction: 0.2, Delay: 2},
-		{Round: 0, Kind: baseline.SchedulePartition, Cells: 2},
-		{Round: 2, Kind: baseline.ScheduleCrash, Fraction: 0.15},
-		{Round: 4, Kind: baseline.ScheduleLossBurst, PSucc: baselinesBurst(x)},
-		{Round: 8, Kind: baseline.ScheduleHeal},
-		{Round: 9, Kind: baseline.ScheduleLossRestore},
-		{Round: 12, Kind: baseline.ScheduleRestart, Fraction: 1},
+// baselinesEvents is the one adversity schedule both sides of the
+// figure face. The partition and stragglers are installed before the
+// publish, so the very first fanout already faces them. Partition cells
+// and straggler coins hash the same seeds and process ids on both
+// sides, so paired runs see the same cells and the same slow links; the
+// baselines keep their single publication implicit at round 0.
+func baselinesEvents(x float64) []scenario.Event {
+	return []scenario.Event{
+		{Round: 0, Kind: scenario.Stragglers, Fraction: 0.2, Delay: 2},
+		{Round: 0, Kind: scenario.Partition, Cells: 2},
+		{Round: 0, Kind: scenario.Publish},
+		{Round: 2, Kind: scenario.CrashWave, Fraction: 0.15},
+		{Round: 4, Kind: scenario.LossBurst, PSucc: baselinesBurst(x)},
+		{Round: 8, Kind: scenario.Heal},
+		{Round: 9, Kind: scenario.LossRestore},
+		{Round: 12, Kind: scenario.FlashCrowd, Fraction: 1},
 	}
 }
 
 // baselinesDamcRun executes the da-multicast side of one point.
-func baselinesDamcRun(x float64, seed int64, kernelWorkers int) (*Result, error) {
+func baselinesDamcRun(events []scenario.Event, x float64, seed int64, kernelWorkers int) (*Result, error) {
 	groups, _, pub, err := baselinesTopology()
 	if err != nil {
 		return nil, err
@@ -151,7 +134,7 @@ func baselinesDamcRun(x float64, seed int64, kernelWorkers int) (*Result, error)
 		Seed:          seed,
 		Workers:       kernelWorkers,
 	}
-	return RunScenario(cfg, baselinesScenario(x))
+	return RunScenario(cfg, Scenario{Name: "baselines", Rounds: baselinesRounds, Events: events})
 }
 
 // baselinesInterestedReliability folds the per-group delivery numbers
@@ -187,7 +170,8 @@ func baselinesSpec() figureSpec {
 		ylabel: "interested-alive delivery fraction / event messages",
 		grid:   baselinesGrid,
 		runPoint: func(x float64, seed int64, kernelWorkers int) (pointResult, error) {
-			damc, err := baselinesDamcRun(x, seed, kernelWorkers)
+			events := baselinesEvents(x)
+			damc, err := baselinesDamcRun(events, x, seed, kernelWorkers)
 			if err != nil {
 				return pointResult{}, err
 			}
@@ -206,7 +190,7 @@ func baselinesSpec() figureSpec {
 				MaxRounds:     baselinesRounds,
 				Seed:          seed,
 				Workers:       kernelWorkers,
-				Schedule:      baselinesSchedule(x),
+				Schedule:      events,
 			}
 			type algo struct {
 				name string

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"damulticast/internal/core"
+	"damulticast/internal/scenario"
 	"damulticast/internal/topic"
 )
 
@@ -69,11 +70,11 @@ func BuiltinScenario(name string, n int, intensity float64, rounds int, seed int
 		return cfg, Scenario{
 			Name:   "churn",
 			Rounds: rounds,
-			Events: []ScenarioEvent{
-				{Round: 0, Kind: ScenarioPublish},
-				{Round: 2, Kind: ScenarioCrashWave, Fraction: intensity},
-				{Round: mid, Kind: ScenarioFlashCrowd, Fraction: 1},
-				{Round: mid, Kind: ScenarioPublish},
+			Events: []scenario.Event{
+				{Round: 0, Kind: scenario.Publish},
+				{Round: 2, Kind: scenario.CrashWave, Fraction: intensity},
+				{Round: mid, Kind: scenario.FlashCrowd, Fraction: 1},
+				{Round: mid, Kind: scenario.Publish},
 			},
 		}, nil
 	case "flashcrowd":
@@ -85,22 +86,22 @@ func BuiltinScenario(name string, n int, intensity float64, rounds int, seed int
 		return cfg, Scenario{
 			Name:   "flashcrowd",
 			Rounds: rounds,
-			Events: []ScenarioEvent{
-				{Round: 0, Kind: ScenarioPublish},
-				{Round: mid, Kind: ScenarioFlashCrowd, Fraction: 1},
-				{Round: mid, Kind: ScenarioPublish},
+			Events: []scenario.Event{
+				{Round: 0, Kind: scenario.Publish},
+				{Round: mid, Kind: scenario.FlashCrowd, Fraction: 1},
+				{Round: mid, Kind: scenario.Publish},
 			},
 		}, nil
 	case "partition":
 		return cfg, Scenario{
 			Name:   "partition",
 			Rounds: rounds,
-			Events: []ScenarioEvent{
-				{Round: 0, Kind: ScenarioPublish},
-				{Round: 1, Kind: ScenarioPartition, Cells: 2},
-				{Round: 2, Kind: ScenarioPublish},
-				{Round: mid, Kind: ScenarioHeal},
-				{Round: mid, Kind: ScenarioPublish},
+			Events: []scenario.Event{
+				{Round: 0, Kind: scenario.Publish},
+				{Round: 1, Kind: scenario.Partition, Cells: 2},
+				{Round: 2, Kind: scenario.Publish},
+				{Round: mid, Kind: scenario.Heal},
+				{Round: mid, Kind: scenario.Publish},
 			},
 		}, nil
 	case "lossburst":
@@ -110,12 +111,12 @@ func BuiltinScenario(name string, n int, intensity float64, rounds int, seed int
 		return cfg, Scenario{
 			Name:   "lossburst",
 			Rounds: rounds,
-			Events: []ScenarioEvent{
-				{Round: 0, Kind: ScenarioPublish},
-				{Round: 1, Kind: ScenarioLossBurst, PSucc: intensity},
-				{Round: 2, Kind: ScenarioPublish},
-				{Round: mid, Kind: ScenarioLossRestore},
-				{Round: mid, Kind: ScenarioPublish},
+			Events: []scenario.Event{
+				{Round: 0, Kind: scenario.Publish},
+				{Round: 1, Kind: scenario.LossBurst, PSucc: intensity},
+				{Round: 2, Kind: scenario.Publish},
+				{Round: mid, Kind: scenario.LossRestore},
+				{Round: mid, Kind: scenario.Publish},
 			},
 		}, nil
 	default:

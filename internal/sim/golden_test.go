@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"damulticast/internal/core"
+	"damulticast/internal/scenario"
 	"damulticast/internal/simnet"
 )
 
@@ -28,14 +29,14 @@ func protocolDigest(t *testing.T, workers int) string {
 	sc := Scenario{
 		Name:   "golden",
 		Rounds: 16,
-		Events: []ScenarioEvent{
-			{Round: 0, Kind: ScenarioPublish},
-			{Round: 1, Kind: ScenarioPartition, Cells: 2},
-			{Round: 2, Kind: ScenarioPublish},
-			{Round: 3, Kind: ScenarioPublish, Topic: t1},
-			{Round: 8, Kind: ScenarioHeal},
-			{Round: 8, Kind: ScenarioPublish},
-			{Round: 9, Kind: ScenarioPublish, Topic: t0},
+		Events: []scenario.Event{
+			{Round: 0, Kind: scenario.Publish},
+			{Round: 1, Kind: scenario.Partition, Cells: 2},
+			{Round: 2, Kind: scenario.Publish},
+			{Round: 3, Kind: scenario.Publish, Topic: t1},
+			{Round: 8, Kind: scenario.Heal},
+			{Round: 8, Kind: scenario.Publish},
+			{Round: 9, Kind: scenario.Publish, Topic: t0},
 		},
 	}
 	r, err := NewRunner(cfg)

@@ -7,6 +7,7 @@ import (
 
 	"damulticast/internal/core"
 	"damulticast/internal/ids"
+	"damulticast/internal/scenario"
 	"damulticast/internal/topic"
 	"damulticast/internal/wire"
 )
@@ -164,10 +165,10 @@ func recoveryDepthRun(depth int, seed int64, kernelWorkers int, cross bool) (*Re
 	sc := Scenario{
 		Name:   "recovery-depth",
 		Rounds: recoveryDepthRounds,
-		Events: []ScenarioEvent{
-			{Round: 0, Kind: ScenarioIsolate, Topic: topic.Root},
-			{Round: 0, Kind: ScenarioPublish},
-			{Round: recoveryDepthRounds / 2, Kind: ScenarioHeal},
+		Events: []scenario.Event{
+			{Round: 0, Kind: scenario.Isolate, Topic: topic.Root},
+			{Round: 0, Kind: scenario.Publish},
+			{Round: recoveryDepthRounds / 2, Kind: scenario.Heal},
 		},
 	}
 	return RunScenario(cfg, sc)

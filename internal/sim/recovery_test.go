@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"damulticast/internal/scenario"
 	"damulticast/internal/topic"
 )
 
@@ -29,10 +30,10 @@ func TestRecoveryHealsPartition(t *testing.T) {
 	sc := Scenario{
 		Name:   "partition-then-heal",
 		Rounds: 30,
-		Events: []ScenarioEvent{
-			{Round: 0, Kind: ScenarioPartition, Cells: 2},
-			{Round: 1, Kind: ScenarioPublish},
-			{Round: 8, Kind: ScenarioHeal},
+		Events: []scenario.Event{
+			{Round: 0, Kind: scenario.Partition, Cells: 2},
+			{Round: 1, Kind: scenario.Publish},
+			{Round: 8, Kind: scenario.Heal},
 		},
 	}
 	const seed = 7
@@ -69,10 +70,10 @@ func TestRecoveryHealsLossBurst(t *testing.T) {
 	sc := Scenario{
 		Name:   "loss-burst",
 		Rounds: 30,
-		Events: []ScenarioEvent{
-			{Round: 0, Kind: ScenarioLossBurst, PSucc: 0.03},
-			{Round: 1, Kind: ScenarioPublish},
-			{Round: 6, Kind: ScenarioLossRestore},
+		Events: []scenario.Event{
+			{Round: 0, Kind: scenario.LossBurst, PSucc: 0.03},
+			{Round: 1, Kind: scenario.Publish},
+			{Round: 6, Kind: scenario.LossRestore},
 		},
 	}
 	const seed = 11
@@ -103,11 +104,11 @@ func TestRecoveryWorkerCountInvariance(t *testing.T) {
 	sc := Scenario{
 		Name:   "invariance",
 		Rounds: 16,
-		Events: []ScenarioEvent{
-			{Round: 0, Kind: ScenarioLossBurst, PSucc: 0.3},
-			{Round: 1, Kind: ScenarioPublish},
-			{Round: 5, Kind: ScenarioLossRestore},
-			{Round: 6, Kind: ScenarioPublish},
+		Events: []scenario.Event{
+			{Round: 0, Kind: scenario.LossBurst, PSucc: 0.3},
+			{Round: 1, Kind: scenario.Publish},
+			{Round: 5, Kind: scenario.LossRestore},
+			{Round: 6, Kind: scenario.Publish},
 		},
 	}
 	var base *Result
@@ -136,7 +137,7 @@ func TestRecoveryStoreBoundedInSim(t *testing.T) {
 	cfg.Params.RecoverStoreCap = 4
 	sc := Scenario{Name: "flood", Rounds: 24}
 	for r := 0; r < 12; r++ {
-		sc.Events = append(sc.Events, ScenarioEvent{Round: r, Kind: ScenarioPublish})
+		sc.Events = append(sc.Events, scenario.Event{Round: r, Kind: scenario.Publish})
 	}
 	runner, err := NewRunner(cfg)
 	if err != nil {

@@ -3,99 +3,14 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"damulticast/internal/core"
 	"damulticast/internal/ids"
+	"damulticast/internal/scenario"
 	"damulticast/internal/simnet"
 	"damulticast/internal/topic"
 	"damulticast/internal/xrand"
 )
-
-// ScenarioKind enumerates the dynamic events a scenario can inject
-// between simulation rounds.
-type ScenarioKind int
-
-// Scenario event kinds.
-const (
-	// ScenarioPublish publishes one event from a random alive member
-	// of the publish group (Topic overrides the config's PublishTopic
-	// when set).
-	ScenarioPublish ScenarioKind = iota + 1
-	// ScenarioCrashWave stops and crashes Fraction of the currently
-	// alive members of Topic (every group when Topic is empty) — a
-	// correlated churn wave.
-	ScenarioCrashWave
-	// ScenarioFlashCrowd restarts Fraction of the currently stopped
-	// members of Topic (every group when empty) and seeds their
-	// membership tables afresh — a burst of simultaneous
-	// subscriptions.
-	ScenarioFlashCrowd
-	// ScenarioPartition splits the members of Topic (every group when
-	// empty) into Cells cells; messages crossing cells are dropped
-	// until a ScenarioHeal.
-	ScenarioPartition
-	// ScenarioHeal removes the current partition.
-	ScenarioHeal
-	// ScenarioLossBurst sets the channel success probability to PSucc
-	// (correlated message loss) until a ScenarioLossRestore.
-	ScenarioLossBurst
-	// ScenarioLossRestore restores the configured channel success
-	// probability.
-	ScenarioLossRestore
-	// ScenarioStragglers makes Fraction of all sends spend between 1
-	// and Delay extra rounds in flight (per-link latency skew).
-	// Fraction 0 clears any straggler distribution.
-	ScenarioStragglers
-	// ScenarioIsolate cuts every link crossing the boundary of Topic's
-	// group: members keep talking to each other, but nothing flows in
-	// or out until a ScenarioHeal — the "one group cut off at birth"
-	// shape the cross-group recovery figure stresses.
-	ScenarioIsolate
-)
-
-var scenarioKindNames = map[ScenarioKind]string{
-	ScenarioPublish:     "publish",
-	ScenarioCrashWave:   "crash-wave",
-	ScenarioFlashCrowd:  "flash-crowd",
-	ScenarioPartition:   "partition",
-	ScenarioHeal:        "heal",
-	ScenarioLossBurst:   "loss-burst",
-	ScenarioLossRestore: "loss-restore",
-	ScenarioStragglers:  "stragglers",
-	ScenarioIsolate:     "isolate",
-}
-
-// String names the scenario kind.
-func (k ScenarioKind) String() string {
-	if s, ok := scenarioKindNames[k]; ok {
-		return s
-	}
-	return fmt.Sprintf("scenariokind(%d)", int(k))
-}
-
-// ScenarioEvent is one timed injection. Round r means "after r rounds
-// have executed": round 0 events apply before the first Step.
-type ScenarioEvent struct {
-	Round int
-	Kind  ScenarioKind
-	// Topic targets one group; empty targets every group (crash,
-	// flash-crowd, partition) or the config's PublishTopic (publish).
-	Topic topicOrAll
-	// Fraction of candidates affected (crash-wave, flash-crowd).
-	Fraction float64
-	// Cells is the partition cell count (>= 2).
-	Cells int
-	// PSucc is the loss-burst channel success probability in (0, 1].
-	PSucc float64
-	// Delay is the stragglers' maximum extra rounds in flight (>= 1
-	// when Fraction > 0).
-	Delay int
-}
-
-// topicOrAll aliases topic.Topic for scenario targeting; the empty
-// value means "all groups".
-type topicOrAll = topic.Topic
 
 // Scenario is a deterministic schedule of dynamic events driven over a
 // fixed number of rounds. The same scenario with the same Config seed
@@ -103,75 +18,24 @@ type topicOrAll = topic.Topic
 type Scenario struct {
 	Name   string
 	Rounds int
-	Events []ScenarioEvent
+	Events []scenario.Event
 }
 
-// Scenario validation errors.
-var (
-	ErrBadRounds    = errors.New("sim: scenario rounds must be >= 1")
-	ErrBadEvent     = errors.New("sim: bad scenario event")
-	ErrNoPartition  = errors.New("sim: heal without partition")
-	ErrBadEventKind = errors.New("sim: unknown scenario event kind")
-)
+// ErrBadRounds reports a scenario with no rounds to run.
+var ErrBadRounds = errors.New("sim: scenario rounds must be >= 1")
 
-// Validate checks the scenario against basic well-formedness rules,
-// including that every heal is preceded (in round order) by a
-// partition.
+// Validate checks the scenario's rounds and events: every event lies
+// inside the run and passes scenario.Validate.
 func (s Scenario) Validate() error {
 	if s.Rounds < 1 {
 		return ErrBadRounds
 	}
 	for i, ev := range s.Events {
-		if ev.Round < 0 || ev.Round >= s.Rounds {
-			return fmt.Errorf("%w: event %d round %d outside [0, %d)", ErrBadEvent, i, ev.Round, s.Rounds)
-		}
-		switch ev.Kind {
-		case ScenarioPublish, ScenarioHeal, ScenarioLossRestore:
-		case ScenarioCrashWave, ScenarioFlashCrowd:
-			if ev.Fraction < 0 || ev.Fraction > 1 {
-				return fmt.Errorf("%w: event %d fraction %g", ErrBadEvent, i, ev.Fraction)
-			}
-		case ScenarioPartition:
-			if ev.Cells < 2 {
-				return fmt.Errorf("%w: event %d needs >= 2 cells", ErrBadEvent, i)
-			}
-		case ScenarioLossBurst:
-			if ev.PSucc <= 0 || ev.PSucc > 1 {
-				return fmt.Errorf("%w: event %d psucc %g", ErrBadEvent, i, ev.PSucc)
-			}
-		case ScenarioStragglers:
-			if ev.Fraction < 0 || ev.Fraction > 1 {
-				return fmt.Errorf("%w: event %d fraction %g", ErrBadEvent, i, ev.Fraction)
-			}
-			if ev.Fraction > 0 && ev.Delay < 1 {
-				return fmt.Errorf("%w: event %d stragglers need Delay >= 1", ErrBadEvent, i)
-			}
-		case ScenarioIsolate:
-			if ev.Topic == "" {
-				return fmt.Errorf("%w: event %d isolate needs a topic", ErrBadEvent, i)
-			}
-		default:
-			return fmt.Errorf("%w: %d", ErrBadEventKind, int(ev.Kind))
+		if ev.Round >= s.Rounds {
+			return fmt.Errorf("%w: event %d round %d outside [0, %d)", scenario.ErrBadEvent, i, ev.Round, s.Rounds)
 		}
 	}
-	// A heal must follow a partition in application (round) order —
-	// the same order RunScenario uses.
-	ordered := make([]ScenarioEvent, len(s.Events))
-	copy(ordered, s.Events)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Round < ordered[j].Round })
-	partitioned := false
-	for _, ev := range ordered {
-		switch ev.Kind {
-		case ScenarioPartition, ScenarioIsolate:
-			partitioned = true
-		case ScenarioHeal:
-			if !partitioned {
-				return fmt.Errorf("%w: heal at round %d", ErrNoPartition, ev.Round)
-			}
-			partitioned = false
-		}
-	}
-	return nil
+	return scenario.Validate(s.Events)
 }
 
 // RunScenario drives the built network through the scenario: events
@@ -183,9 +47,15 @@ func (r *Runner) RunScenario(sc Scenario) (*Result, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	events := make([]ScenarioEvent, len(sc.Events))
-	copy(events, sc.Events)
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Round < events[j].Round })
+	for i, ev := range sc.Events {
+		if ev.Topic != "" && r.targetGroups(ev.Topic) == nil {
+			return nil, fmt.Errorf("event %d: %w: %s", i, scenario.ErrTopic, ev.Topic)
+		}
+		if ev.Count != 0 {
+			return nil, fmt.Errorf("event %d: %w: the simulator takes a Fraction, not a Count", i, scenario.ErrBadEvent)
+		}
+	}
+	events := scenario.Sorted(sc.Events)
 
 	var evs []ids.EventID
 	ei := 0
@@ -212,7 +82,7 @@ func RunScenario(cfg Config, sc Scenario) (*Result, error) {
 
 // targetGroups resolves an event's topic to group specs, in config
 // order (deterministic).
-func (r *Runner) targetGroups(t topicOrAll) []GroupSpec {
+func (r *Runner) targetGroups(t topic.Topic) []GroupSpec {
 	if t == "" {
 		return r.cfg.Groups
 	}
@@ -227,9 +97,9 @@ func (r *Runner) targetGroups(t topicOrAll) []GroupSpec {
 // applyEvent injects one scenario event. All mutations run serially
 // between rounds and draw from the kernel's serial stream, so they are
 // independent of the worker count.
-func (r *Runner) applyEvent(ev ScenarioEvent, evs *[]ids.EventID) error {
+func (r *Runner) applyEvent(ev scenario.Event, evs *[]ids.EventID) error {
 	switch ev.Kind {
-	case ScenarioPublish:
+	case scenario.Publish:
 		pubTopic := r.cfg.PublishTopic
 		if ev.Topic != "" {
 			pubTopic = ev.Topic
@@ -239,7 +109,7 @@ func (r *Runner) applyEvent(ev ScenarioEvent, evs *[]ids.EventID) error {
 			return err
 		}
 		*evs = append(*evs, id)
-	case ScenarioCrashWave:
+	case scenario.CrashWave:
 		rng := r.net.Rand()
 		for _, g := range r.targetGroups(ev.Topic) {
 			var alive []*core.Process
@@ -258,7 +128,7 @@ func (r *Runner) applyEvent(ev ScenarioEvent, evs *[]ids.EventID) error {
 				}
 			}
 		}
-	case ScenarioFlashCrowd:
+	case scenario.FlashCrowd:
 		rng := r.net.Rand()
 		for _, g := range r.targetGroups(ev.Topic) {
 			members := r.groups[g.Topic]
@@ -286,12 +156,11 @@ func (r *Runner) applyEvent(ev ScenarioEvent, evs *[]ids.EventID) error {
 				}
 			}
 		}
-	case ScenarioPartition:
+	case scenario.Partition:
 		cells := make(map[ids.ProcessID]int)
 		for _, g := range r.targetGroups(ev.Topic) {
 			for _, p := range r.groups[g.Topic] {
-				id := p.ID()
-				cells[id] = int(xrand.HashUniform(r.cfg.Seed+int64(ev.Round), "cell:"+string(id)) * float64(ev.Cells))
+				cells[p.ID()] = scenario.Cell(r.cfg.Seed, ev.Round, p.ID(), ev.Cells)
 			}
 		}
 		r.net.SetLinkDown(func(from, to ids.ProcessID) bool {
@@ -299,7 +168,7 @@ func (r *Runner) applyEvent(ev ScenarioEvent, evs *[]ids.EventID) error {
 			ct, okt := cells[to]
 			return okf && okt && cf != ct
 		})
-	case ScenarioIsolate:
+	case scenario.Isolate:
 		inGroup := make(map[ids.ProcessID]bool)
 		for _, g := range r.targetGroups(ev.Topic) {
 			for _, p := range r.groups[g.Topic] {
@@ -309,21 +178,19 @@ func (r *Runner) applyEvent(ev ScenarioEvent, evs *[]ids.EventID) error {
 		r.net.SetLinkDown(func(from, to ids.ProcessID) bool {
 			return inGroup[from] != inGroup[to]
 		})
-	case ScenarioHeal:
+	case scenario.Heal:
 		r.net.SetLinkDown(nil)
-	case ScenarioLossBurst:
+	case scenario.LossBurst:
 		r.net.PSucc = ev.PSucc
-	case ScenarioLossRestore:
+	case scenario.LossRestore:
 		r.net.PSucc = r.cfg.PSucc
-	case ScenarioStragglers:
+	case scenario.Stragglers:
 		if ev.Fraction <= 0 {
 			r.net.SetLinkDelay(nil)
 			break
 		}
 		r.net.SetLinkDelay(simnet.StragglerDelay(
 			xrand.SeedFor(r.cfg.Seed, "stragglers"), ev.Fraction, ev.Delay))
-	default:
-		return fmt.Errorf("%w: %d", ErrBadEventKind, int(ev.Kind))
 	}
 	return nil
 }

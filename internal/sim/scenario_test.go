@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"damulticast/internal/scenario"
 	"damulticast/internal/topic"
 )
 
@@ -14,52 +15,71 @@ func TestScenarioValidate(t *testing.T) {
 		want error
 	}{
 		{"no rounds", Scenario{}, ErrBadRounds},
-		{"round out of range", Scenario{Rounds: 5, Events: []ScenarioEvent{
-			{Round: 5, Kind: ScenarioPublish}}}, ErrBadEvent},
-		{"bad fraction", Scenario{Rounds: 5, Events: []ScenarioEvent{
-			{Round: 1, Kind: ScenarioCrashWave, Fraction: 1.5}}}, ErrBadEvent},
-		{"bad cells", Scenario{Rounds: 5, Events: []ScenarioEvent{
-			{Round: 1, Kind: ScenarioPartition, Cells: 1}}}, ErrBadEvent},
-		{"bad burst psucc", Scenario{Rounds: 5, Events: []ScenarioEvent{
-			{Round: 1, Kind: ScenarioLossBurst}}}, ErrBadEvent},
-		{"bad kind", Scenario{Rounds: 5, Events: []ScenarioEvent{
-			{Round: 1, Kind: ScenarioKind(99)}}}, ErrBadEventKind},
-		{"heal without partition", Scenario{Rounds: 5, Events: []ScenarioEvent{
-			{Round: 1, Kind: ScenarioHeal}}}, ErrNoPartition},
-		{"heal before partition", Scenario{Rounds: 5, Events: []ScenarioEvent{
-			{Round: 3, Kind: ScenarioPartition, Cells: 2},
-			{Round: 1, Kind: ScenarioHeal}}}, ErrNoPartition},
+		{"round out of range", Scenario{Rounds: 5, Events: []scenario.Event{
+			{Round: 5, Kind: scenario.Publish}}}, scenario.ErrBadEvent},
+		{"bad fraction", Scenario{Rounds: 5, Events: []scenario.Event{
+			{Round: 1, Kind: scenario.CrashWave, Fraction: 1.5}}}, scenario.ErrBadEvent},
+		{"bad cells", Scenario{Rounds: 5, Events: []scenario.Event{
+			{Round: 1, Kind: scenario.Partition, Cells: 1}}}, scenario.ErrBadEvent},
+		{"bad burst psucc", Scenario{Rounds: 5, Events: []scenario.Event{
+			{Round: 1, Kind: scenario.LossBurst}}}, scenario.ErrBadEvent},
+		{"bad kind", Scenario{Rounds: 5, Events: []scenario.Event{
+			{Round: 1, Kind: scenario.Kind(99)}}}, scenario.ErrKind},
+		{"heal without partition", Scenario{Rounds: 5, Events: []scenario.Event{
+			{Round: 1, Kind: scenario.Heal}}}, scenario.ErrNoPartition},
+		{"heal before partition", Scenario{Rounds: 5, Events: []scenario.Event{
+			{Round: 3, Kind: scenario.Partition, Cells: 2},
+			{Round: 1, Kind: scenario.Heal}}}, scenario.ErrNoPartition},
 	}
 	for _, tc := range cases {
 		if err := tc.sc.Validate(); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
-	good := Scenario{Rounds: 10, Events: []ScenarioEvent{
-		{Round: 0, Kind: ScenarioPublish},
-		{Round: 2, Kind: ScenarioCrashWave, Fraction: 0.5},
-		{Round: 3, Kind: ScenarioFlashCrowd, Fraction: 1},
-		{Round: 4, Kind: ScenarioPartition, Cells: 2},
-		{Round: 5, Kind: ScenarioHeal},
-		{Round: 6, Kind: ScenarioLossBurst, PSucc: 0.5},
-		{Round: 7, Kind: ScenarioLossRestore},
+	good := Scenario{Rounds: 10, Events: []scenario.Event{
+		{Round: 0, Kind: scenario.Publish},
+		{Round: 2, Kind: scenario.CrashWave, Fraction: 0.5},
+		{Round: 3, Kind: scenario.FlashCrowd, Fraction: 1},
+		{Round: 4, Kind: scenario.Partition, Cells: 2},
+		{Round: 5, Kind: scenario.Heal},
+		{Round: 6, Kind: scenario.LossBurst, PSucc: 0.5},
+		{Round: 7, Kind: scenario.LossRestore},
 	}}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid scenario rejected: %v", err)
 	}
 }
 
+// TestScenarioRejectsUnknownTopic pins that an event aimed at a topic
+// no group of the run holds fails the run up front instead of silently
+// doing nothing — for every kind that takes a topic.
+func TestScenarioRejectsUnknownTopic(t *testing.T) {
+	cfg := PaperConfig(0.9, 3)
+	for _, ev := range []scenario.Event{
+		{Round: 1, Kind: scenario.Publish, Topic: ".nosuch"},
+		{Round: 1, Kind: scenario.CrashWave, Topic: ".nosuch", Fraction: 0.5},
+		{Round: 1, Kind: scenario.FlashCrowd, Topic: ".nosuch", Fraction: 1},
+		{Round: 1, Kind: scenario.Partition, Topic: ".nosuch", Cells: 2},
+		{Round: 1, Kind: scenario.Isolate, Topic: ".nosuch"},
+	} {
+		sc := Scenario{Name: "nosuch", Rounds: 4, Events: []scenario.Event{{Round: 0, Kind: scenario.Publish}, ev}}
+		if _, err := RunScenario(cfg, sc); !errors.Is(err, scenario.ErrTopic) {
+			t.Errorf("%v on %s: err = %v, want %v", ev.Kind, ev.Topic, err, scenario.ErrTopic)
+		}
+	}
+}
+
 func TestScenarioKindString(t *testing.T) {
-	for k, want := range map[ScenarioKind]string{
-		ScenarioPublish:    "publish",
-		ScenarioCrashWave:  "crash-wave",
-		ScenarioFlashCrowd: "flash-crowd",
+	for k, want := range map[scenario.Kind]string{
+		scenario.Publish:    "publish",
+		scenario.CrashWave:  "crash-wave",
+		scenario.FlashCrowd: "flash-crowd",
 	} {
 		if k.String() != want {
 			t.Errorf("%d.String() = %q", int(k), k.String())
 		}
 	}
-	if ScenarioKind(42).String() == "" {
+	if scenario.Kind(42).String() == "" {
 		t.Error("unknown kind has empty name")
 	}
 }
@@ -69,9 +89,9 @@ func TestScenarioCrashWaveReducesAlive(t *testing.T) {
 	res, err := RunScenario(cfg, Scenario{
 		Name:   "wave",
 		Rounds: 10,
-		Events: []ScenarioEvent{
-			{Round: 0, Kind: ScenarioPublish},
-			{Round: 2, Kind: ScenarioCrashWave, Fraction: 0.5},
+		Events: []scenario.Event{
+			{Round: 0, Kind: scenario.Publish},
+			{Round: 2, Kind: scenario.CrashWave, Fraction: 0.5},
 		},
 	})
 	if err != nil {
@@ -97,10 +117,10 @@ func TestScenarioFlashCrowdRestoresDelivery(t *testing.T) {
 	res, err := RunScenario(cfg, Scenario{
 		Name:   "flash",
 		Rounds: 20,
-		Events: []ScenarioEvent{
-			{Round: 0, Kind: ScenarioPublish},
-			{Round: 10, Kind: ScenarioFlashCrowd, Fraction: 1},
-			{Round: 10, Kind: ScenarioPublish},
+		Events: []scenario.Event{
+			{Round: 0, Kind: scenario.Publish},
+			{Round: 10, Kind: scenario.FlashCrowd, Fraction: 1},
+			{Round: 10, Kind: scenario.Publish},
 		},
 	})
 	if err != nil {
@@ -124,9 +144,9 @@ func TestScenarioPartitionBlocksThenHeals(t *testing.T) {
 	partitioned, err := RunScenario(base, Scenario{
 		Name:   "split",
 		Rounds: 12,
-		Events: []ScenarioEvent{
-			{Round: 0, Kind: ScenarioPartition, Cells: 2},
-			{Round: 0, Kind: ScenarioPublish},
+		Events: []scenario.Event{
+			{Round: 0, Kind: scenario.Partition, Cells: 2},
+			{Round: 0, Kind: scenario.Publish},
 		},
 	})
 	if err != nil {
@@ -135,7 +155,7 @@ func TestScenarioPartitionBlocksThenHeals(t *testing.T) {
 	open, err := RunScenario(base, Scenario{
 		Name:   "open",
 		Rounds: 12,
-		Events: []ScenarioEvent{{Round: 0, Kind: ScenarioPublish}},
+		Events: []scenario.Event{{Round: 0, Kind: scenario.Publish}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,10 +172,10 @@ func TestScenarioPartitionBlocksThenHeals(t *testing.T) {
 	healed, err := RunScenario(base, Scenario{
 		Name:   "healed",
 		Rounds: 12,
-		Events: []ScenarioEvent{
-			{Round: 0, Kind: ScenarioPartition, Cells: 2},
-			{Round: 1, Kind: ScenarioHeal},
-			{Round: 1, Kind: ScenarioPublish},
+		Events: []scenario.Event{
+			{Round: 0, Kind: scenario.Partition, Cells: 2},
+			{Round: 1, Kind: scenario.Heal},
+			{Round: 1, Kind: scenario.Publish},
 		},
 	})
 	if err != nil {
@@ -172,9 +192,9 @@ func TestScenarioLossBurstDegradesDelivery(t *testing.T) {
 	burst, err := RunScenario(base, Scenario{
 		Name:   "burst",
 		Rounds: 12,
-		Events: []ScenarioEvent{
-			{Round: 0, Kind: ScenarioLossBurst, PSucc: 0.05},
-			{Round: 0, Kind: ScenarioPublish},
+		Events: []scenario.Event{
+			{Round: 0, Kind: scenario.LossBurst, PSucc: 0.05},
+			{Round: 0, Kind: scenario.Publish},
 		},
 	})
 	if err != nil {
@@ -187,10 +207,10 @@ func TestScenarioLossBurstDegradesDelivery(t *testing.T) {
 	restored, err := RunScenario(base, Scenario{
 		Name:   "restored",
 		Rounds: 12,
-		Events: []ScenarioEvent{
-			{Round: 0, Kind: ScenarioLossBurst, PSucc: 0.05},
-			{Round: 2, Kind: ScenarioLossRestore},
-			{Round: 2, Kind: ScenarioPublish},
+		Events: []scenario.Event{
+			{Round: 0, Kind: scenario.LossBurst, PSucc: 0.05},
+			{Round: 2, Kind: scenario.LossRestore},
+			{Round: 2, Kind: scenario.Publish},
 		},
 	})
 	if err != nil {
@@ -211,8 +231,8 @@ func TestScenarioPublishOverrideTopic(t *testing.T) {
 	res, err := RunScenario(cfg, Scenario{
 		Name:   "up-only",
 		Rounds: 20,
-		Events: []ScenarioEvent{
-			{Round: 0, Kind: ScenarioPublish, Topic: t1},
+		Events: []scenario.Event{
+			{Round: 0, Kind: scenario.Publish, Topic: t1},
 		},
 	})
 	if err != nil {

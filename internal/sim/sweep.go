@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"damulticast/internal/experiment"
+	"damulticast/internal/scenario"
 	"damulticast/internal/topic"
 	"damulticast/internal/xrand"
 )
@@ -163,9 +164,9 @@ func churnSpec() figureSpec {
 			sc := Scenario{
 				Name:   "churn-wave",
 				Rounds: 30, // gossip quiesces in ~O(log S) rounds; 30 is ample
-				Events: []ScenarioEvent{
-					{Round: 0, Kind: ScenarioPublish},
-					{Round: 2, Kind: ScenarioCrashWave, Topic: cfg.PublishTopic, Fraction: 1 - x},
+				Events: []scenario.Event{
+					{Round: 0, Kind: scenario.Publish},
+					{Round: 2, Kind: scenario.CrashWave, Topic: cfg.PublishTopic, Fraction: 1 - x},
 				},
 			}
 			res, err := RunScenario(cfg, sc)
@@ -199,7 +200,7 @@ func recoveryRun(psucc float64, seed int64, kernelWorkers int, recovery bool) (*
 	sc := Scenario{
 		Name:   "recovery",
 		Rounds: recoveryRounds,
-		Events: []ScenarioEvent{{Round: 0, Kind: ScenarioPublish}},
+		Events: []scenario.Event{{Round: 0, Kind: scenario.Publish}},
 	}
 	return RunScenario(cfg, sc)
 }
@@ -226,10 +227,10 @@ func recoveryRootRun(psucc float64, seed int64, kernelWorkers int, cross bool) (
 	sc := Scenario{
 		Name:   "recovery-root",
 		Rounds: recoveryRounds,
-		Events: []ScenarioEvent{
-			{Round: 0, Kind: ScenarioIsolate, Topic: t0},
-			{Round: 0, Kind: ScenarioPublish},
-			{Round: recoveryRounds / 2, Kind: ScenarioHeal},
+		Events: []scenario.Event{
+			{Round: 0, Kind: scenario.Isolate, Topic: t0},
+			{Round: 0, Kind: scenario.Publish},
+			{Round: recoveryRounds / 2, Kind: scenario.Heal},
 		},
 	}
 	return RunScenario(cfg, sc)

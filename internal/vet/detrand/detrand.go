@@ -26,6 +26,7 @@ var contractPackages = map[string]bool{
 	"damulticast/internal/baseline": true,
 	"damulticast/internal/workload": true,
 	"damulticast/internal/scale":    true,
+	"damulticast/internal/scenario": true,
 }
 
 // Analyzer is the detrand checker.

@@ -18,6 +18,7 @@ func TestAppliesTo(t *testing.T) {
 		"damulticast/internal/baseline",
 		"damulticast/internal/workload",
 		"damulticast/internal/scale",
+		"damulticast/internal/scenario",
 	} {
 		if !Analyzer.AppliesTo(pkg) {
 			t.Errorf("AppliesTo(%s) = false, want true", pkg)
