@@ -114,6 +114,11 @@ type pubResult struct {
 	err error
 }
 
+// replyPool recycles publish reply slots (cap-1 channels). A slot goes
+// back only after its one reply has been received, so a recycled slot
+// is always empty; a publish that gives up waiting drops its slot.
+var replyPool = sync.Pool{New: func() any { return make(chan pubResult, 1) }}
+
 type joinReq struct {
 	sub   *Subscription
 	reply chan error
@@ -676,7 +681,7 @@ func (s *Subscription) PublishBatch(ctx context.Context, payloads [][]byte) ([]s
 
 func (s *Subscription) publish(ctx context.Context, req pubReq) (pubResult, error) {
 	h := s.hub
-	req.reply = make(chan pubResult, 1)
+	req.reply = replyPool.Get().(chan pubResult)
 	select {
 	case h.pubCh <- req:
 	case <-ctx.Done():
@@ -686,6 +691,7 @@ func (s *Subscription) publish(ctx context.Context, req pubReq) (pubResult, erro
 	}
 	select {
 	case res := <-req.reply:
+		replyPool.Put(req.reply)
 		return res, res.err
 	case <-ctx.Done():
 		return pubResult{}, ctx.Err()
@@ -694,6 +700,7 @@ func (s *Subscription) publish(ctx context.Context, req pubReq) (pubResult, erro
 		// may still have landed; prefer it over reporting failure.
 		select {
 		case res := <-req.reply:
+			replyPool.Put(req.reply)
 			return res, res.err
 		default:
 			return pubResult{}, ErrNotRunning
@@ -841,7 +848,7 @@ func (e *subEnv) SendBatch(targets []ids.ProcessID, m *core.Message) {
 // channel — so sends never race a close.
 //
 //damcvet:nonblocking
-//damcvet:allow framealias(Payload aliases the per-frame inbox buffer, which both transports hand over fresh and the hub never reuses; the pooled Event struct is copied field-by-field here)
+//damcvet:allow framealias(ev is core's Clone of the decoded event, so Payload is a fresh copy that aliases no frame or decoder buffer; the Event struct is copied field-by-field here)
 func (e *subEnv) Deliver(ev *core.Event) {
 	out := Event{
 		ID:      ev.ID.String(),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"strings"
 	"sync"
@@ -254,6 +255,118 @@ func TestHubPublishContextCancelMidFlight(t *testing.T) {
 	}
 	if err := hub.Stop(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPublishReplySlotsNotReusedAfterCancel guards the pooled publish
+// reply slots: a publish that gives up on its deadline may leave the
+// loop's reply to land in its slot later, so that slot must never serve
+// another publish. Eight publishers race random 0–50 µs deadlines
+// against the loop; every id Publish does return must be unique and
+// must be delivered by the peer with the payload it was published
+// with — a stale reply handed to a later publish breaks one or both.
+// Run under -race.
+func TestPublishReplySlotsNotReusedAfterCancel(t *testing.T) {
+	const publishers = 8
+	const perPublisher = 200
+	net := NewMemNetwork()
+	var hubs []*Hub
+	join := func(addr, contact string, opts ...JoinOption) *Subscription {
+		h, err := NewHub(net.NewTransport(addr), WithParams(liveParams()), WithTickInterval(time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hubs = append(hubs, h)
+		sub, err := h.Join(context.Background(), ".", append(opts, WithGroupContacts(contact))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sub
+	}
+	// A reply landing in a slot that already holds a stale one blocks
+	// the loop for good, so stopping is bounded: failing beats hanging.
+	defer func() {
+		stopped := make(chan struct{})
+		go func() {
+			for _, h := range hubs {
+				_ = h.Stop()
+			}
+			close(stopped)
+		}()
+		select {
+		case <-stopped:
+		case <-time.After(5 * time.Second):
+			t.Error("hubs did not stop: a loop is wedged writing a publish reply")
+		}
+	}()
+	pub := join("pub", "peer")
+	peer := join("peer", "pub", WithOverflow(Block))
+
+	var mu sync.Mutex
+	delivered := make(map[string]string)
+	go func() {
+		for ev := range peer.Events() {
+			mu.Lock()
+			delivered[ev.ID] = string(ev.Payload)
+			mu.Unlock()
+		}
+	}()
+
+	published := make([]map[string]string, publishers)
+	var wg sync.WaitGroup
+	for g := range published {
+		published[g] = make(map[string]string)
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(g)))
+			for j := 0; j < perPublisher; j++ {
+				payload := fmt.Sprintf("g%d-%d", g, j)
+				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(r.Intn(51))*time.Microsecond)
+				id, err := pub.Publish(ctx, []byte(payload))
+				cancel()
+				if err == nil {
+					published[g][id] = payload
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	want := make(map[string]string)
+	for _, got := range published {
+		for id, payload := range got {
+			if prev, dup := want[id]; dup {
+				t.Fatalf("id %s returned for both %q and %q", id, prev, payload)
+			}
+			want[id] = payload
+		}
+	}
+	t.Logf("%d of %d publishes returned an id", len(want), publishers*perPublisher)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		mu.Lock()
+		missing, wrong := 0, ""
+		for id, payload := range want {
+			got, ok := delivered[id]
+			switch {
+			case !ok:
+				missing++
+			case got != payload:
+				wrong = fmt.Sprintf("id %s delivered with %q, published with %q", id, got, payload)
+			}
+		}
+		mu.Unlock()
+		if wrong != "" {
+			t.Fatal(wrong)
+		}
+		if missing == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d returned ids never delivered by the peer", missing, len(want))
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

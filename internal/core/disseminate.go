@@ -97,7 +97,8 @@ func (p *Process) disseminate(ev *Event) {
 //
 // Root-group processes have an empty supertopic table, so step 1 is a
 // no-op for them ("the processes receiving the event only gossip it in
-// their group").
+// their group"). No target is the process itself: every view it owns
+// is built with membership.NewView(p.id, …), which refuses that id.
 func (p *Process) elect() ([]ids.ProcessID, []groupSeg) {
 	r := p.env.Rand()
 	targets := p.batch[:0]
@@ -115,20 +116,16 @@ func (p *Process) elect() ([]ids.ProcessID, []groupSeg) {
 			continue
 		}
 		pa := p.pA()
-		for _, target := range v.IDs() {
-			if xrand.Bernoulli(r, pa) && target != p.id {
-				targets = append(targets, target)
+		for j := 0; j < v.Len(); j++ {
+			if xrand.Bernoulli(r, pa) {
+				targets = append(targets, v.At(j))
 			}
 		}
 		segs = appendSeg(segs, dest, len(targets))
 	}
 
-	// (2) Gossip within the group.
-	for _, target := range p.topicTable.Sample(r, p.fanout()) {
-		if target != p.id {
-			targets = append(targets, target)
-		}
-	}
+	// (2) Gossip within the group, sampled straight into the batch.
+	targets = p.topicTable.AppendSample(targets, r, p.fanout())
 	segs = appendSeg(segs, p.topic, len(targets))
 	return targets, segs
 }

@@ -323,3 +323,38 @@ func TestNoParasiteDeliveries(t *testing.T) {
 		}
 	}
 }
+
+// elect runs once per disseminated event. Once its batch buffers have
+// grown to the view sizes it must not allocate: the supertopic tables
+// are walked by index and the gossip sample is drawn into the batch.
+func TestElectAllocsNothingAtSteadyState(t *testing.T) {
+	env := newFakeEnv(1)
+	params := testParams()
+	params.GroupSizeHint = 100
+	params.G = 10000 // pSel = 1: every election walks every supertopic table
+	params.A = 3
+	params.Z = 3
+	p := MustNewProcess("p0", ".a.b", params, env)
+	p.SetTopicTableCap(64)
+	var mates []ids.ProcessID
+	for i := 0; i < 50; i++ {
+		mates = append(mates, ids.Indexed("m", i))
+	}
+	p.SeedTopicTable(mates)
+	p.SeedSuperTable(".a", []ids.ProcessID{"s1", "s2", "s3"})
+	if err := p.AddExtraSuperTable(".x", []ids.ProcessID{"x1", "x2", "x3"}); err != nil {
+		t.Fatal(err)
+	}
+	elect := func() {
+		targets, segs := p.elect()
+		p.batch, p.segs = targets[:0], segs[:0]
+	}
+	elect()
+	if allocs := testing.AllocsPerRun(200, elect); allocs != 0 {
+		t.Errorf("elect allocates %v per call at steady state, want 0", allocs)
+	}
+	targets, segs := p.elect()
+	if want := 3 + 3 + p.fanout(); len(targets) != want || len(segs) != 3 {
+		t.Errorf("elect = %d targets in %d segments, want %d in 3", len(targets), len(segs), want)
+	}
+}

@@ -4,9 +4,9 @@
 package ids
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // ProcessID uniquely names a process in the system. In simulations it
@@ -38,9 +38,19 @@ type EventID struct {
 	Seq    uint64
 }
 
-// String formats the event id as "origin#seq".
+// String formats the event id as "origin#seq", the bytes of
+// fmt.Sprintf("%s#%d", e.Origin, e.Seq), in one allocation: the digits
+// go to a stack buffer and the text is written once into a builder of
+// exactly its size.
 func (e EventID) String() string {
-	return fmt.Sprintf("%s#%d", e.Origin, e.Seq)
+	var digits [20]byte
+	seq := strconv.AppendUint(digits[:0], e.Seq, 10)
+	var b strings.Builder
+	b.Grow(len(e.Origin) + 1 + len(seq))
+	b.WriteString(string(e.Origin))
+	b.WriteByte('#')
+	b.Write(seq)
+	return b.String()
 }
 
 // Less provides a total order for deterministic iteration in tests.

@@ -1,8 +1,11 @@
 package ids
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -13,6 +16,27 @@ func TestEventIDString(t *testing.T) {
 	e := EventID{Origin: "p7", Seq: 42}
 	if got := e.String(); got != "p7#42" {
 		t.Errorf("String = %q", got)
+	}
+}
+
+var sinkString string
+
+// String is formatted once per publish and once per live delivery: its
+// text must stay fmt's "%s#%d" byte for byte, in one allocation, from
+// an empty origin to one longer than any host:port, and from the
+// smallest sequence number to the largest.
+func TestEventIDStringMatchesSprintfInOneAlloc(t *testing.T) {
+	for _, n := range []int{0, 43, 100} {
+		origin := ProcessID(strings.Repeat("o", n))
+		for _, seq := range []uint64{0, 7, 42, math.MaxUint64} {
+			e := EventID{Origin: origin, Seq: seq}
+			if got, want := e.String(), fmt.Sprintf("%s#%d", e.Origin, e.Seq); got != want {
+				t.Errorf("origin %d bytes, seq %d: String = %q, want %q", n, seq, got, want)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { sinkString = e.String() }); allocs != 1 {
+				t.Errorf("origin %d bytes, seq %d: String allocates %v, want 1", n, seq, allocs)
+			}
+		}
 	}
 }
 
@@ -230,5 +254,15 @@ func BenchmarkSeenSetAdd(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.Add(EventID{"p", uint64(i)})
+	}
+}
+
+// BenchmarkEventIDString formats a live-looking event id: 1 alloc/op,
+// the returned string.
+func BenchmarkEventIDString(b *testing.B) {
+	e := EventID{Origin: "127.0.0.1:40123", Seq: 1 << 20}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkString = e.String()
 	}
 }

@@ -15,6 +15,7 @@ package membership
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -164,9 +165,41 @@ func (v *View) Entries() []Entry {
 	return out
 }
 
+// At returns the id of the i-th entry, in the order IDs lists them.
+func (v *View) At(i int) ids.ProcessID { return v.entries[i].ID }
+
 // Sample returns min(k, Len) distinct random members.
 func (v *View) Sample(r *rand.Rand, k int) []ids.ProcessID {
-	return xrand.SampleIDs(r, v.IDs(), k)
+	return v.AppendSample(nil, r, k)
+}
+
+// AppendSample appends min(k, Len) distinct random members to dst and
+// returns the extended slice. It appends the same ids in the same
+// order, and consumes the same draws from r, as
+// xrand.SampleIDs(r, v.IDs(), k): the view's ids are copied onto dst's
+// tail and permuted there — a partial Fisher–Yates with SampleIDs'
+// r.Intn(n-i) per position, or xrand.Shuffle when k ≥ n. A dst with
+// room for the whole view is not reallocated.
+func (v *View) AppendSample(dst []ids.ProcessID, r *rand.Rand, k int) []ids.ProcessID {
+	n := len(v.entries)
+	if k <= 0 || n == 0 {
+		return dst
+	}
+	start := len(dst)
+	dst = slices.Grow(dst, n)
+	for _, e := range v.entries {
+		dst = append(dst, e.ID)
+	}
+	tail := dst[start:]
+	if k >= n {
+		xrand.Shuffle(r, tail)
+		return dst
+	}
+	for i := 0; i < k; i++ {
+		j := i + r.Intn(n-i)
+		tail[i], tail[j] = tail[j], tail[i]
+	}
+	return dst[:start+k]
 }
 
 // SampleExcluding samples k members not present in exclude.
@@ -176,7 +209,10 @@ func (v *View) SampleExcluding(r *rand.Rand, k int, exclude map[ids.ProcessID]st
 
 // Pick returns one random member, or false if the view is empty.
 func (v *View) Pick(r *rand.Rand) (ids.ProcessID, bool) {
-	return xrand.Pick(r, v.IDs())
+	if len(v.entries) == 0 {
+		return "", false
+	}
+	return v.entries[r.Intn(len(v.entries))].ID, true
 }
 
 // AgeAll increments every entry's age by one. Called once per

@@ -3,10 +3,12 @@ package membership
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"damulticast/internal/ids"
+	"damulticast/internal/xrand"
 )
 
 func TestNewViewClampsCap(t *testing.T) {
@@ -213,6 +215,71 @@ func TestSampleAndPick(t *testing.T) {
 	}
 }
 
+// AppendSample and Pick must be draw-for-draw the xrand primitives over
+// IDs: the same ids in the same order, and the stream left in the same
+// state. Views up to 40 entries cover both of SampleIDs' paths (sparse
+// when 8k < n, dense otherwise) and the k ≥ n shuffle.
+func TestAppendSampleMatchesSampleIDs(t *testing.T) {
+	prefix := []ids.ProcessID{"x", "y"}
+	for n := 0; n <= 40; n++ {
+		v := NewView("me", max(n, 1))
+		for i := 0; i < n; i++ {
+			v.Add(ids.Indexed("p", i))
+		}
+		// A removal leaves the entries out of insertion order.
+		if n > 2 {
+			v.Remove(ids.Indexed("p", 1))
+			v.Add("late")
+		}
+		for seed := int64(0); seed < 50; seed++ {
+			// One reference stream, and one stream per way of calling
+			// AppendSample: onto nil, onto a full prefix (grown) and
+			// onto a prefix with room (in place). All advance in step.
+			ref := rand.New(rand.NewSource(seed))
+			rs := []*rand.Rand{rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))}
+			for k := -1; k <= n+2; k++ {
+				want := xrand.SampleIDs(ref, v.IDs(), k)
+				dsts := [][]ids.ProcessID{nil, slices.Clip(slices.Clone(prefix)), append(make([]ids.ProcessID, 0, 64), prefix...)}
+				for i, dst := range dsts {
+					got := v.AppendSample(dst, rs[i], k)
+					if !slices.Equal(got[:len(dst)], dst) || !slices.Equal(got[len(dst):], want) {
+						t.Fatalf("n=%d k=%d seed=%d: AppendSample onto %v = %v, want that prefix then SampleIDs' %v", n, k, seed, dst, got, want)
+					}
+				}
+				next := ref.Int63()
+				for i, r := range rs {
+					if got := r.Int63(); got != next {
+						t.Fatalf("n=%d k=%d seed=%d dst %d: stream after AppendSample drew %d, after SampleIDs %d", n, k, seed, i, got, next)
+					}
+				}
+			}
+
+			wantID, wantOK := xrand.Pick(ref, v.IDs())
+			gotID, gotOK := v.Pick(rs[0])
+			if gotID != wantID || gotOK != wantOK || rs[0].Int63() != ref.Int63() {
+				t.Fatalf("n=%d seed=%d: Pick = %q,%v, xrand.Pick = %q,%v (or the streams diverged)", n, seed, gotID, gotOK, wantID, wantOK)
+			}
+		}
+	}
+}
+
+// Sampling into a reused buffer allocates nothing, on both the partial
+// Fisher–Yates and the full-shuffle path.
+func TestAppendSampleReusedDstAllocsNothing(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	v := NewView("me", 32)
+	for i := 0; i < 28; i++ {
+		v.Add(ids.Indexed("p", i))
+	}
+	var buf []ids.ProcessID
+	for _, k := range []int{3, 12, 28, 40} {
+		buf = v.AppendSample(buf[:0], r, k)
+		if allocs := testing.AllocsPerRun(200, func() { buf = v.AppendSample(buf[:0], r, k) }); allocs != 0 {
+			t.Errorf("k=%d: AppendSample into a reused dst allocates %v, want 0", k, allocs)
+		}
+	}
+}
+
 // Property: Len never exceeds Cap regardless of operation sequence.
 func TestPropViewBounded(t *testing.T) {
 	prop := func(seed int64, ops []uint8) bool {
@@ -268,5 +335,21 @@ func TestPropIndexConsistent(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkViewSample draws one event's gossip targets (fanout 12 from
+// a 28-entry view, the topic table at S=1000) into a reused buffer, as
+// core's election does: 0 allocs/op.
+func BenchmarkViewSample(b *testing.B) {
+	r := rand.New(rand.NewSource(3))
+	v := NewView("me", 28)
+	for i := 0; i < 28; i++ {
+		v.Add(ids.Indexed("p", i))
+	}
+	var buf []ids.ProcessID
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = v.AppendSample(buf[:0], r, 12)
 	}
 }
