@@ -70,19 +70,29 @@ func baselineConfig(alive float64, seed int64) baseline.Config {
 	}
 }
 
-// measured aggregates the per-algorithm measurements, averaged over
-// several independent runs (single runs are noisy: the upward hop
-// involves only ~g expected electors).
-type measured struct {
-	daEvents, daParasites, daRootRel float64
-	bcMsgs, bcParasites, bcRel       float64
-	mcMsgs, mcParasites, mcRel       float64
-	hcMsgs, hcParasites, hcRel       float64
+// tally is one algorithm's messages, parasite deliveries and
+// reliability, summed and then averaged over the measured runs.
+type tally struct{ msgs, parasites, rel float64 }
+
+func (t *tally) add(msgs, parasites int64, rel float64) {
+	t.msgs += float64(msgs)
+	t.parasites += float64(parasites)
+	t.rel += rel
 }
+
+// measured holds the tallies of daMulticast (root-group reliability)
+// and the three baselines, averaged over several independent runs
+// (single runs are noisy: the upward hop involves only ~g expected
+// electors).
+type measured struct{ da, bc, mc, hc tally }
 
 func measure(alive float64, baseSeed int64, runs int) (*measured, error) {
 	t0, _, _ := sim.PaperTopics()
 	var m measured
+	baselines := []struct {
+		t   *tally
+		run func(baseline.Config) (*baseline.Result, error)
+	}{{&m.bc, baseline.RunBroadcast}, {&m.mc, baseline.RunMulticast}, {&m.hc, baseline.RunHierarchical}}
 	for i := 0; i < runs; i++ {
 		seed := baseSeed + int64(i)
 		// The daMulticast topology gains the same disjoint ".other"
@@ -99,44 +109,21 @@ func measure(alive float64, baseSeed int64, runs int) (*measured, error) {
 		if err != nil {
 			return nil, err
 		}
-		bcRes, err := baseline.RunBroadcast(baselineConfig(alive, seed))
-		if err != nil {
-			return nil, err
+		m.da.add(daRes.TotalEvents, daRes.Parasites, daRes.Reliability[t0])
+		for _, b := range baselines {
+			res, err := b.run(baselineConfig(alive, seed))
+			if err != nil {
+				return nil, err
+			}
+			b.t.add(res.Messages, res.Parasites, res.Reliability())
 		}
-		mcRes, err := baseline.RunMulticast(baselineConfig(alive, seed))
-		if err != nil {
-			return nil, err
-		}
-		hcRes, err := baseline.RunHierarchical(baselineConfig(alive, seed))
-		if err != nil {
-			return nil, err
-		}
-		m.daEvents += float64(daRes.TotalEvents)
-		m.daParasites += float64(daRes.Parasites)
-		m.daRootRel += daRes.Reliability[t0]
-		m.bcMsgs += float64(bcRes.Messages)
-		m.bcParasites += float64(bcRes.Parasites)
-		m.bcRel += bcRes.Reliability()
-		m.mcMsgs += float64(mcRes.Messages)
-		m.mcParasites += float64(mcRes.Parasites)
-		m.mcRel += mcRes.Reliability()
-		m.hcMsgs += float64(hcRes.Messages)
-		m.hcParasites += float64(hcRes.Parasites)
-		m.hcRel += hcRes.Reliability()
 	}
 	n := float64(runs)
-	m.daEvents /= n
-	m.daParasites /= n
-	m.daRootRel /= n
-	m.bcMsgs /= n
-	m.bcParasites /= n
-	m.bcRel /= n
-	m.mcMsgs /= n
-	m.mcParasites /= n
-	m.mcRel /= n
-	m.hcMsgs /= n
-	m.hcParasites /= n
-	m.hcRel /= n
+	for _, t := range []*tally{&m.da, &m.bc, &m.mc, &m.hc} {
+		t.msgs /= n
+		t.parasites /= n
+		t.rel /= n
+	}
 	return &m, nil
 }
 
@@ -158,9 +145,14 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-runs must be >= 1")
 	}
 
-	m, err := measure(*alive, *seed, *runs)
-	if err != nil {
-		return err
+	// The mem table reads built topologies only; the other tables
+	// measure disseminations.
+	var m *measured
+	if *table != "mem" {
+		var err error
+		if m, err = measure(*alive, *seed, *runs); err != nil {
+			return err
+		}
 	}
 	levels := paperLevels()
 	if *table == "msg" || *table == "all" {
@@ -169,7 +161,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if *table == "mem" || *table == "all" {
-		if err := printMemTable(stdout, levels); err != nil {
+		if err := printMemTable(stdout, levels, *alive, *seed, *runs); err != nil {
 			return err
 		}
 	}
@@ -201,19 +193,35 @@ func printMsgTable(w io.Writer, levels []analysis.Level, m *measured) error {
 	fmt.Fprintln(w, "== Message complexity (events per publication, §VI-E.1) ==")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "algorithm\tclosed-form\tmeasured")
-	fmt.Fprintf(tw, "daMulticast\t%.0f\t%.0f\n", daF, m.daEvents)
-	fmt.Fprintf(tw, "(a) gossip broadcast\t%.0f\t%.0f\n", bcF, m.bcMsgs)
-	fmt.Fprintf(tw, "(b) gossip multicast\t%.0f\t%.0f\n", mcF, m.mcMsgs)
-	fmt.Fprintf(tw, "(c) hierarchical broadcast\t%.0f\t%.0f\n", hcF, m.hcMsgs)
+	fmt.Fprintf(tw, "daMulticast\t%.0f\t%.0f\n", daF, m.da.msgs)
+	fmt.Fprintf(tw, "(a) gossip broadcast\t%.0f\t%.0f\n", bcF, m.bc.msgs)
+	fmt.Fprintf(tw, "(b) gossip multicast\t%.0f\t%.0f\n", mcF, m.mc.msgs)
+	fmt.Fprintf(tw, "(c) hierarchical broadcast\t%.0f\t%.0f\n", hcF, m.hc.msgs)
 	if err := tw.Flush(); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "parasite deliveries: da=%.0f bcast=%.0f mcast=%.0f hier=%.0f\n\n",
-		m.daParasites, m.bcParasites, m.mcParasites, m.hcParasites)
+		m.da.parasites, m.bc.parasites, m.mc.parasites, m.hc.parasites)
 	return nil
 }
 
-func printMemTable(w io.Writer, levels []analysis.Level) error {
+func printMemTable(w io.Writer, levels []analysis.Level, alive float64, baseSeed int64, runs int) error {
+	// Measured: build the paper topology without disseminating and
+	// take the largest tables a T2 member holds.
+	_, _, t2 := sim.PaperTopics()
+	var most float64 // summed over runs
+	for i := 0; i < runs; i++ {
+		r, err := sim.NewRunner(sim.PaperConfig(alive, baseSeed+int64(i)))
+		if err != nil {
+			return err
+		}
+		m := 0
+		for _, p := range r.Group(t2) {
+			m = max(m, p.MemoryComplexity())
+		}
+		most += float64(m)
+	}
+
 	daMem, err := analysis.DaMulticastMemory(1000, 5, 3, false)
 	if err != nil {
 		return err
@@ -236,12 +244,12 @@ func printMemTable(w io.Writer, levels []analysis.Level) error {
 	}
 	fmt.Fprintln(w, "== Memory complexity (membership entries per process, §VI-E.2) ==")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "algorithm\tper-process entries")
-	fmt.Fprintf(tw, "daMulticast (T2 member)\t%.1f  (ln S + c + z)\n", daMem)
-	fmt.Fprintf(tw, "daMulticast (root member)\t%.1f  (ln S + c)\n", daRoot)
-	fmt.Fprintf(tw, "(a) gossip broadcast\t%.1f  (ln n + c)\n", bcMem)
-	fmt.Fprintf(tw, "(b) gossip multicast\t%.1f  (Σ ln S_i + c_i)\n", mcMem)
-	fmt.Fprintf(tw, "(c) hierarchical broadcast\t%.1f  (ln N + ln m + c1 + c2)\n", hcMem)
+	fmt.Fprintln(tw, "algorithm\tclosed-form\tmeasured (max)\tformula")
+	fmt.Fprintf(tw, "daMulticast (T2 member)\t%.1f\t%.1f\tln S + c + z\n", daMem, most/float64(runs))
+	fmt.Fprintf(tw, "daMulticast (root member)\t%.1f\t-\tln S + c\n", daRoot)
+	fmt.Fprintf(tw, "(a) gossip broadcast\t%.1f\t-\tln n + c\n", bcMem)
+	fmt.Fprintf(tw, "(b) gossip multicast\t%.1f\t-\tΣ ln S_i + c_i\n", mcMem)
+	fmt.Fprintf(tw, "(c) hierarchical broadcast\t%.1f\t-\tln N + ln m + c1 + c2\n", hcMem)
 	if err := tw.Flush(); err != nil {
 		return err
 	}
@@ -265,10 +273,10 @@ func printRelTable(w io.Writer, levels []analysis.Level, m *measured) error {
 	fmt.Fprintln(w, "== Reliability (P[all root-group processes receive], §VI-E.3) ==")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "algorithm\tclosed-form\tmeasured (alive frac of interested)")
-	fmt.Fprintf(tw, "daMulticast\t%.5f\t%.5f\n", daRel, m.daRootRel)
-	fmt.Fprintf(tw, "(a) gossip broadcast\t%.5f\t%.5f\n", analysis.BroadcastReliability(5), m.bcRel)
-	fmt.Fprintf(tw, "(b) gossip multicast\t%.5f\t%.5f\n", mcRel, m.mcRel)
-	fmt.Fprintf(tw, "(c) hierarchical broadcast\t%.5f\t%.5f\n", hcRel, m.hcRel)
+	fmt.Fprintf(tw, "daMulticast\t%.5f\t%.5f\n", daRel, m.da.rel)
+	fmt.Fprintf(tw, "(a) gossip broadcast\t%.5f\t%.5f\n", analysis.BroadcastReliability(5), m.bc.rel)
+	fmt.Fprintf(tw, "(b) gossip multicast\t%.5f\t%.5f\n", mcRel, m.mc.rel)
+	fmt.Fprintf(tw, "(c) hierarchical broadcast\t%.5f\t%.5f\n", hcRel, m.hc.rel)
 	if err := tw.Flush(); err != nil {
 		return err
 	}

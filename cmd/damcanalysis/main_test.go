@@ -59,8 +59,9 @@ func TestRunMemTableShort(t *testing.T) {
 	if err := run([]string{"-table", "mem", "-runs", "1"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "Memory complexity") {
-		t.Error("missing memory table")
+	s := out.String()
+	if !strings.Contains(s, "Memory complexity") || !strings.Contains(s, "measured (max)") {
+		t.Errorf("missing memory table or its measured column:\n%s", s)
 	}
 }
 

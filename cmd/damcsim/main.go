@@ -13,6 +13,7 @@
 //	damcsim -fig recoverydepth    # cross-group root revival vs hierarchy depth
 //	damcsim -fig baselines        # da-multicast vs §VI-E baselines under faults
 //	damcsim -fig scale            # struct-of-arrays kernel swept to 1e6 processes
+//	damcsim -fig ablation         # z/g/a/c knob ablation beside the closed forms
 //	damcsim -scenario churn -n 20000 [-intensity 0.3] [-rounds 24] [-workers 0]
 //	damcsim -scenario lossburst -recoverperiod 2   # scenarios with recovery on
 //
@@ -40,6 +41,9 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"damulticast/internal/experiment"
@@ -54,25 +58,29 @@ func main() {
 	}
 }
 
-// figureKeys maps the CLI's -fig values to canonical figure names.
-var figureKeys = map[string]string{
-	"8":             "fig8",
-	"9":             "fig9",
-	"10":            "fig10",
-	"11":            "fig11",
-	"churn":         "churn",
-	"recovery":      "recovery",
-	"recoverystore": "recoverystore",
-	"recoverydepth": "recoverydepth",
-	"baselines":     "baselines",
-	"scale":         "scale",
+// figures lists every -fig value, in "-fig all" order, with the sim
+// figure it names; the paper's Figs. 8-11 go by their numbers.
+var figures = []struct{ key, name string }{
+	{"8", "fig8"}, {"9", "fig9"}, {"10", "fig10"}, {"11", "fig11"},
+	{"churn", "churn"}, {"recovery", "recovery"}, {"recoverystore", "recoverystore"},
+	{"recoverydepth", "recoverydepth"}, {"baselines", "baselines"}, {"scale", "scale"},
+	{"ablation", "ablation"},
+}
+
+// figureList renders the -fig values for help and error text.
+func figureList() string {
+	keys := make([]string, len(figures))
+	for i, f := range figures {
+		keys[i] = strconv.Quote(f.key)
+	}
+	return strings.Join(keys, ", ") + ` or "all"`
 }
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("damcsim", flag.ContinueOnError)
-	fig := fs.String("fig", "all", `figure to regenerate: "8", "9", "10", "11", "churn", "recovery", "recoverystore", "recoverydepth", "baselines", "scale" or "all"`)
+	fig := fs.String("fig", "all", "figure to regenerate: "+figureList())
 	runs := fs.Int("runs", 3, "independent runs averaged per point")
-	points := fs.Int("points", 10, "x-axis points per figure: alive fractions in (0, 1] for the paper figures; pinned-grid figures (baselines, scale) take the first -points grid entries")
+	points := fs.Int("points", 10, "x-axis points per figure: alive fractions in (0, 1] for the paper figures; pinned-grid figures (baselines, scale, ablation) derive their grid from -points")
 	out := fs.String("out", "", "write CSV to this file instead of stdout")
 	sweepWorkers := fs.Int("sweepworkers", 0, "figure-sweep worker pool size; 0 = GOMAXPROCS, 1 = serial (CSV identical for every value)")
 	reportPath := fs.String("report", "", "write a JSON run report (config, seeds, per-kind counts, timing) to this file")
@@ -123,16 +131,15 @@ func run(args []string, stdout io.Writer) error {
 		w = f
 	}
 
-	// "all" really means all: the paper figures plus the beyond-paper
-	// churn, recovery and baselines sweeps (their x-axes read as
-	// "fraction surviving" and "channel success probability").
-	order := []string{"8", "9", "10", "11", "churn", "recovery", "recoverystore", "recoverydepth", "baselines", "scale"}
-	selected := order
+	// "all" really means all: the paper figures plus every beyond-paper
+	// sweep, in table order.
+	selected := figures
 	if *fig != "all" {
-		if _, ok := figureKeys[*fig]; !ok {
-			return fmt.Errorf("unknown figure %q (want 8, 9, 10, 11, churn, recovery, recoverystore, recoverydepth, baselines, scale or all)", *fig)
+		i := slices.IndexFunc(figures, func(f struct{ key, name string }) bool { return f.key == *fig })
+		if i < 0 {
+			return fmt.Errorf("unknown figure %q (want %s)", *fig, figureList())
 		}
-		selected = []string{*fig}
+		selected = figures[i : i+1]
 	}
 	report := &experiment.Report{
 		GoMaxProcs:   runtime.GOMAXPROCS(0),
@@ -143,13 +150,13 @@ func run(args []string, stdout io.Writer) error {
 		SweepWorkers: *sweepWorkers,
 		BaseSeed:     *seed,
 	}
-	for _, key := range selected {
+	for _, sel := range selected {
 		// Each figure owns its x-axis grid: most sweep i/points over
-		// (0, 1], the baselines figure pins [0.4, 1.0].
-		xs := sim.FigureXs(figureKeys[key], *points)
-		f, figReport, err := sim.GenerateFigure(context.Background(), figureKeys[key], xs, opts)
+		// (0, 1], a pinned-grid figure derives its own from -points.
+		xs := sim.FigureXs(sel.name, *points)
+		f, figReport, err := sim.GenerateFigure(context.Background(), sel.name, xs, opts)
 		if err != nil {
-			return fmt.Errorf("figure %s: %w", key, err)
+			return fmt.Errorf("figure %s: %w", sel.key, err)
 		}
 		report.Figures = append(report.Figures, *figReport)
 		fmt.Fprintf(w, "# %s: %s vs %s\n", f.Name, f.YLabel, f.XLabel)

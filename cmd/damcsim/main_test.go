@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -100,33 +101,21 @@ func TestRunScaleFigure(t *testing.T) {
 }
 
 // TestFigureKeysCoverSimFigures keeps the CLI's figure table in sync
-// with the sim registry: every canonical figure must be reachable from
-// -fig, and the -fig all order must enumerate exactly the known keys.
+// with the sim registry: every -fig key is distinct, and the table
+// names each canonical figure exactly once.
 func TestFigureKeysCoverSimFigures(t *testing.T) {
-	canonical := map[string]bool{}
-	for _, name := range sim.FigureNames() {
-		canonical[name] = true
-	}
-	covered := map[string]bool{}
-	for key, name := range figureKeys {
-		if !canonical[name] {
-			t.Errorf("figureKeys[%q] = %q is not a sim figure", key, name)
+	keys := map[string]bool{}
+	names := make([]string, 0, len(figures))
+	for _, f := range figures {
+		if keys[f.key] {
+			t.Errorf("-fig key %q listed twice", f.key)
 		}
-		covered[name] = true
+		keys[f.key] = true
+		names = append(names, f.name)
 	}
-	for name := range canonical {
-		if !covered[name] {
-			t.Errorf("sim figure %q unreachable from -fig", name)
-		}
-	}
-	order := []string{"8", "9", "10", "11", "churn", "recovery", "recoverystore", "recoverydepth", "baselines", "scale"}
-	if len(order) != len(figureKeys) {
-		t.Fatalf("-fig all order has %d entries, figureKeys %d", len(order), len(figureKeys))
-	}
-	for _, key := range order {
-		if _, ok := figureKeys[key]; !ok {
-			t.Errorf("-fig all key %q missing from figureKeys", key)
-		}
+	slices.Sort(names)
+	if want := sim.FigureNames(); !slices.Equal(names, want) {
+		t.Errorf("figure table names %v, sim figures are %v", names, want)
 	}
 }
 

@@ -12,19 +12,15 @@ import (
 // whose per-process state is bounded by scale.BudgetBytesPerProcess.
 var scaleGridFull = []float64{1_000, 3_162, 10_000, 31_623, 100_000, 316_228, 1_000_000}
 
-// scaleGrid truncates the canonical sweep to the requested point count
-// (so CI's fast pass can stop at 1e5 with -points 5 while the default
-// -points 10 includes the million-process point).
-func scaleGrid(points int) []float64 {
-	if points < 1 {
-		points = 1
+// pinnedGrid returns a figure grid that takes the first points entries
+// of full, at least one and at most all of them (so the scale figure's
+// CI pass can stop at 1e5 with -points 5 while the default -points 10
+// includes the million-process point).
+func pinnedGrid(full []float64) func(points int) []float64 {
+	return func(points int) []float64 {
+		points = max(1, min(points, len(full)))
+		return append([]float64(nil), full[:points]...)
 	}
-	if points > len(scaleGridFull) {
-		points = len(scaleGridFull)
-	}
-	out := make([]float64, points)
-	copy(out, scaleGridFull[:points])
-	return out
 }
 
 // scaleGroups scales the paper's 1:10:100 three-level topology to n
@@ -53,7 +49,7 @@ func scaleGroups(n int) []scale.GroupSpec {
 }
 
 // scaleSpec is the million-process scaling figure: x is the total
-// population, swept over scaleGrid on the scale kernel (not the full
+// population, swept over scaleGridFull on the scale kernel (not the full
 // simulation stack). Series: per-group delivery reliability under the
 // paper's lossy channel, plus two per-process cost curves — events sent
 // and self-accounted state bytes — which should stay near-flat (they
@@ -63,7 +59,7 @@ func scaleSpec() figureSpec {
 		name:   "scale",
 		xlabel: "total processes",
 		ylabel: "fraction receiving / per-process cost",
-		grid:   scaleGrid,
+		grid:   pinnedGrid(scaleGridFull),
 		runPoint: func(x float64, seed int64, kernelWorkers int) (pointResult, error) {
 			n := int(x)
 			_, _, t2 := PaperTopics()
@@ -81,13 +77,10 @@ func scaleSpec() figureSpec {
 			if err != nil {
 				return pointResult{}, err
 			}
-			values := map[string]float64{
+			values := putGroups(map[string]float64{
 				"events_per_proc":      float64(res.TotalEvents) / float64(n),
 				"state_bytes_per_proc": res.BytesPerProcess(n),
-			}
-			for t, rel := range res.Reliability {
-				values[groupSeriesName(t)] = rel
-			}
+			}, "", res.Reliability)
 			return pointResult{values: values, counts: res.KindTotals, rounds: res.Rounds}, nil
 		},
 	}

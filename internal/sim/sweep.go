@@ -62,12 +62,7 @@ func DefaultAliveFractions() []float64 {
 
 // groupSeriesName labels a group's series like the paper's legends.
 func groupSeriesName(t topic.Topic) string {
-	switch t.Depth() {
-	case 0:
-		return "T0"
-	default:
-		return fmt.Sprintf("T%d", t.Depth())
-	}
+	return fmt.Sprintf("T%d", t.Depth())
 }
 
 // pointResult is what one sweep job contributes to a figure: the named
@@ -123,12 +118,17 @@ func paperSpec(name, ylabel string, mode FailureMode, extract func(*Result) map[
 	}
 }
 
-func extractIntra(res *Result) map[string]float64 {
-	out := map[string]float64{}
-	for t, v := range res.Intra {
-		out[groupSeriesName(t)] = float64(v)
+// putGroups stores each group's value of m in dst under the group's
+// series name, prefixed, and returns dst.
+func putGroups[V int64 | float64](dst map[string]float64, prefix string, m map[topic.Topic]V) map[string]float64 {
+	for t, v := range m {
+		dst[prefix+groupSeriesName(t)] = float64(v)
 	}
-	return out
+	return dst
+}
+
+func extractIntra(res *Result) map[string]float64 {
+	return putGroups(map[string]float64{}, "", res.Intra)
 }
 
 func extractInter(res *Result) map[string]float64 {
@@ -141,11 +141,7 @@ func extractInter(res *Result) map[string]float64 {
 }
 
 func extractReliabilityAll(res *Result) map[string]float64 {
-	out := map[string]float64{}
-	for t, v := range res.ReliabilityAll {
-		out[groupSeriesName(t)] = v
-	}
-	return out
+	return putGroups(map[string]float64{}, "", res.ReliabilityAll)
 }
 
 // churnSpec is the beyond-paper churn-wave sweep: x is the fraction of
@@ -317,6 +313,7 @@ func figureSpecs() map[string]figureSpec {
 		"recoverydepth": recoveryDepthSpec(),
 		"baselines":     baselinesSpec(),
 		"scale":         scaleSpec(),
+		"ablation":      ablationSpec(),
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // the job index, never from scheduling.
 func TestSweepWorkerCountInvariance(t *testing.T) {
 	want := readFigureGoldens(t)
-	for _, name := range []string{"fig8", "churn", "recovery"} {
+	for _, name := range []string{"fig8", "churn", "recovery", "ablation"} {
 		var base *Figure
 		for _, workers := range []int{1, 8} {
 			fig, rep, err := GenerateFigure(context.Background(), name, FigureXs(name, goldenPoints),
@@ -107,6 +107,11 @@ func TestGenerateFigureReport(t *testing.T) {
 func TestGenerateFigureUnknown(t *testing.T) {
 	if _, _, err := GenerateFigure(context.Background(), "fig99", []float64{1}, FigureOpts{}); err == nil {
 		t.Error("unknown figure accepted")
+	}
+	for _, x := range []float64{0.5, 4} {
+		if _, _, err := GenerateFigure(context.Background(), "ablation", []float64{x}, FigureOpts{}); err == nil {
+			t.Errorf("ablation at x = %v accepted", x)
+		}
 	}
 }
 
