@@ -1,329 +1,20 @@
-// Benchmarks regenerating every figure and comparison table of the
-// paper's evaluation (`go run ./cmd/damcsim -fig all` prints the same
-// sweeps as CSV):
-//
-//	BenchmarkFig8  — events sent within each group vs. alive fraction
-//	BenchmarkFig9  — intergroup events vs. alive fraction
-//	BenchmarkFig10 — reliability, stillborn failures
-//	BenchmarkFig11 — reliability, weakly consistent failures
-//	BenchmarkMsgComplexity*  — §VI-E.1 message-complexity comparison
-//	BenchmarkMemComplexity   — §VI-E.2 memory-complexity comparison
-//	BenchmarkReliability*    — §VI-E.3 reliability comparison
-//	BenchmarkAblation*       — z/g/a/c knob ablations
-//	BenchmarkLivePublish     — live-runtime publish path microbench
-//
-// Each benchmark runs the paper-scale workload once per iteration and
-// reports the headline quantity via b.ReportMetric, so `go test
-// -bench=. -benchmem` regenerates the numbers alongside timing.
+// Benchmarks of the live runtime, plus one simulated workload beyond
+// the paper's setting. The paper's evaluation itself comes from
+// `damcsim -fig` and `damcanalysis -table`; README.md's "The paper's
+// evaluation" table maps each figure and table to its command and to
+// what pins it.
 package damulticast_test
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
 	"damulticast"
-	"damulticast/internal/analysis"
-	"damulticast/internal/baseline"
 	"damulticast/internal/sim"
-	"damulticast/internal/topic"
 	"damulticast/internal/workload"
 )
-
-// benchAlive is the operating point used for the per-iteration bench
-// runs (full-scale sweeps live in cmd/damcsim).
-const benchAlive = 0.8
-
-func benchSeed(i int) int64 { return int64(i + 1) }
-
-// --- Figures 8-11 ---------------------------------------------------
-
-func BenchmarkFig8(b *testing.B) {
-	_, _, t2 := sim.PaperTopics()
-	var intra float64
-	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(sim.PaperConfig(benchAlive, benchSeed(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		intra += float64(res.Intra[t2])
-	}
-	b.ReportMetric(intra/float64(b.N), "T2-intra-msgs")
-}
-
-func BenchmarkFig9(b *testing.B) {
-	t0, t1, t2 := sim.PaperTopics()
-	var up21, up10 float64
-	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(sim.PaperConfig(benchAlive, benchSeed(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		up21 += float64(res.Inter[[2]topic.Topic{t2, t1}])
-		up10 += float64(res.Inter[[2]topic.Topic{t1, t0}])
-	}
-	b.ReportMetric(up21/float64(b.N), "T2-T1-msgs")
-	b.ReportMetric(up10/float64(b.N), "T1-T0-msgs")
-}
-
-func BenchmarkFig10(b *testing.B) {
-	t0, _, t2 := sim.PaperTopics()
-	var relT2, relT0 float64
-	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(sim.PaperConfig(benchAlive, benchSeed(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		relT2 += res.ReliabilityAll[t2]
-		relT0 += res.ReliabilityAll[t0]
-	}
-	b.ReportMetric(relT2/float64(b.N), "T2-delivery")
-	b.ReportMetric(relT0/float64(b.N), "T0-delivery")
-}
-
-func BenchmarkFig11(b *testing.B) {
-	t0, _, t2 := sim.PaperTopics()
-	var relT2, relT0 float64
-	for i := 0; i < b.N; i++ {
-		cfg := sim.PaperConfig(benchAlive, benchSeed(i))
-		cfg.FailureMode = sim.FailPerObserver
-		res, err := sim.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		relT2 += res.ReliabilityAll[t2]
-		relT0 += res.ReliabilityAll[t0]
-	}
-	b.ReportMetric(relT2/float64(b.N), "T2-delivery")
-	b.ReportMetric(relT0/float64(b.N), "T0-delivery")
-}
-
-// --- §VI-E.1 message complexity --------------------------------------
-
-func paperBaselineConfig(seed int64) baseline.Config {
-	t0, t1, t2 := sim.PaperTopics()
-	return baseline.Config{
-		Populations: []baseline.Population{
-			{Topic: t0, Size: 10},
-			{Topic: t1, Size: 100},
-			{Topic: t2, Size: 1000},
-		},
-		PublishTopic:  t2,
-		B:             3,
-		C:             5,
-		PSucc:         0.85,
-		AliveFraction: benchAlive,
-		NumGroups:     10,
-		MaxRounds:     300,
-		Seed:          seed,
-	}
-}
-
-func BenchmarkMsgComplexityDaMulticast(b *testing.B) {
-	var msgs float64
-	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(sim.PaperConfig(benchAlive, benchSeed(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		msgs += float64(res.TotalEvents)
-	}
-	b.ReportMetric(msgs/float64(b.N), "event-msgs")
-}
-
-func BenchmarkMsgComplexityBroadcast(b *testing.B) {
-	var msgs, parasites float64
-	for i := 0; i < b.N; i++ {
-		res, err := baseline.RunBroadcast(paperBaselineConfig(benchSeed(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		msgs += float64(res.Messages)
-		parasites += float64(res.Parasites)
-	}
-	b.ReportMetric(msgs/float64(b.N), "event-msgs")
-	b.ReportMetric(parasites/float64(b.N), "parasites")
-}
-
-func BenchmarkMsgComplexityMulticast(b *testing.B) {
-	var msgs float64
-	for i := 0; i < b.N; i++ {
-		res, err := baseline.RunMulticast(paperBaselineConfig(benchSeed(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		msgs += float64(res.Messages)
-	}
-	b.ReportMetric(msgs/float64(b.N), "event-msgs")
-}
-
-func BenchmarkMsgComplexityHierarchical(b *testing.B) {
-	var msgs, parasites float64
-	for i := 0; i < b.N; i++ {
-		res, err := baseline.RunHierarchical(paperBaselineConfig(benchSeed(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		msgs += float64(res.Messages)
-		parasites += float64(res.Parasites)
-	}
-	b.ReportMetric(msgs/float64(b.N), "event-msgs")
-	b.ReportMetric(parasites/float64(b.N), "parasites")
-}
-
-// --- §VI-E.2 memory complexity ---------------------------------------
-
-func BenchmarkMemComplexity(b *testing.B) {
-	// Measured: build the paper topology and inspect actual table
-	// sizes; closed forms reported alongside.
-	var daMax float64
-	_, _, t2 := sim.PaperTopics()
-	for i := 0; i < b.N; i++ {
-		r, err := sim.NewRunner(sim.PaperConfig(1, benchSeed(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		max := 0
-		for _, p := range r.Group(t2) {
-			if m := p.MemoryComplexity(); m > max {
-				max = m
-			}
-		}
-		daMax += float64(max)
-	}
-	b.ReportMetric(daMax/float64(b.N), "da-T2-entries")
-
-	pi := analysis.GossipReliability(5)
-	mk := func(s int) analysis.Level {
-		return analysis.Level{S: s, C: 5, G: 5, A: 1, Z: 3, PSucc: 0.85, Pi: pi}
-	}
-	levels := []analysis.Level{mk(10), mk(100), mk(1000)}
-	daF, _ := analysis.DaMulticastMemory(1000, 5, 3, false)
-	bcF, _ := analysis.BroadcastMemory(1110, 5)
-	mcF, _ := analysis.MulticastMemory(levels)
-	hcF, _ := analysis.HierarchicalMemory(10, 111, 5, 5)
-	b.ReportMetric(daF, "da-formula")
-	b.ReportMetric(bcF, "bcast-formula")
-	b.ReportMetric(mcF, "mcast-formula")
-	b.ReportMetric(hcF, "hier-formula")
-}
-
-// --- §VI-E.3 reliability ---------------------------------------------
-
-func BenchmarkReliabilityDaMulticast(b *testing.B) {
-	t0, _, _ := sim.PaperTopics()
-	var rel float64
-	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(sim.PaperConfig(benchAlive, benchSeed(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		rel += res.Reliability[t0]
-	}
-	b.ReportMetric(rel/float64(b.N), "root-delivery")
-	pi := analysis.GossipReliability(5)
-	mk := func(s int) analysis.Level {
-		return analysis.Level{S: s, C: 5, G: 5, A: 1, Z: 3, PSucc: 0.85, Pi: pi}
-	}
-	theory, _ := analysis.Reliability([]analysis.Level{mk(10), mk(100), mk(1000)}, 0)
-	b.ReportMetric(theory, "eq1-theory")
-}
-
-func BenchmarkReliabilityBaselines(b *testing.B) {
-	var bc, mc, hc float64
-	for i := 0; i < b.N; i++ {
-		r1, err := baseline.RunBroadcast(paperBaselineConfig(benchSeed(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		r2, err := baseline.RunMulticast(paperBaselineConfig(benchSeed(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		r3, err := baseline.RunHierarchical(paperBaselineConfig(benchSeed(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		bc += r1.Reliability()
-		mc += r2.Reliability()
-		hc += r3.Reliability()
-	}
-	b.ReportMetric(bc/float64(b.N), "bcast-delivery")
-	b.ReportMetric(mc/float64(b.N), "mcast-delivery")
-	b.ReportMetric(hc/float64(b.N), "hier-delivery")
-}
-
-// --- Ablations --------------------------------------------------------
-
-func ablate(b *testing.B, mutate func(*sim.Config)) (interMsgs, rootRel float64) {
-	b.Helper()
-	t0, t1, t2 := sim.PaperTopics()
-	for i := 0; i < b.N; i++ {
-		cfg := sim.PaperConfig(benchAlive, benchSeed(i))
-		mutate(&cfg)
-		res, err := sim.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		interMsgs += float64(res.Inter[[2]topic.Topic{t2, t1}] + res.Inter[[2]topic.Topic{t1, t0}])
-		rootRel += res.Reliability[t0]
-	}
-	return interMsgs / float64(b.N), rootRel / float64(b.N)
-}
-
-func BenchmarkAblationZ(b *testing.B) {
-	for _, z := range []int{1, 3, 8} {
-		b.Run(fmt.Sprintf("z=%d", z), func(b *testing.B) {
-			inter, rel := ablate(b, func(c *sim.Config) { c.Params.Z = z })
-			b.ReportMetric(inter, "inter-msgs")
-			b.ReportMetric(rel, "root-delivery")
-		})
-	}
-}
-
-func BenchmarkAblationG(b *testing.B) {
-	for _, g := range []float64{1, 5, 25} {
-		b.Run(fmt.Sprintf("g=%g", g), func(b *testing.B) {
-			inter, rel := ablate(b, func(c *sim.Config) { c.Params.G = g })
-			b.ReportMetric(inter, "inter-msgs")
-			b.ReportMetric(rel, "root-delivery")
-		})
-	}
-}
-
-func BenchmarkAblationA(b *testing.B) {
-	for _, a := range []float64{1, 2, 3} {
-		b.Run(fmt.Sprintf("a=%g", a), func(b *testing.B) {
-			inter, rel := ablate(b, func(c *sim.Config) { c.Params.A = a })
-			b.ReportMetric(inter, "inter-msgs")
-			b.ReportMetric(rel, "root-delivery")
-		})
-	}
-}
-
-func BenchmarkAblationC(b *testing.B) {
-	_, _, t2 := sim.PaperTopics()
-	for _, c := range []float64{0, 2, 5} {
-		b.Run(fmt.Sprintf("c=%g", c), func(b *testing.B) {
-			var intra, rel float64
-			for i := 0; i < b.N; i++ {
-				cfg := sim.PaperConfig(benchAlive, benchSeed(i))
-				cfg.Params.C = c
-				res, err := sim.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				intra += float64(res.Intra[t2])
-				rel += res.Reliability[t2]
-			}
-			b.ReportMetric(intra/float64(b.N), "T2-intra-msgs")
-			b.ReportMetric(rel/float64(b.N), "T2-delivery")
-			b.ReportMetric(analysis.GossipReliability(c), "theory")
-		})
-	}
-}
 
 // BenchmarkRandomWorkload runs generated (non-paper) topologies:
 // random trees with Zipf-skewed populations, publishing at the deepest
@@ -335,7 +26,8 @@ func BenchmarkRandomWorkload(b *testing.B) {
 	params.MaintainPeriod = 0
 	var rel, parasites float64
 	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(benchSeed(i)))
+		seed := int64(i + 1)
+		rng := rand.New(rand.NewSource(seed))
 		h, err := workload.RandomTree(rng, workload.TreeSpec{Depth: 3, MaxBranch: 2})
 		if err != nil {
 			b.Fatal(err)
@@ -344,7 +36,7 @@ func BenchmarkRandomWorkload(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg, err := workload.Config(h, sizes, params, 0.85, benchAlive, sim.FailStillborn, benchSeed(i))
+		cfg, err := workload.Config(h, sizes, params, 0.85, 0.8, sim.FailStillborn, seed)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -202,11 +202,6 @@ func (v *View) AppendSample(dst []ids.ProcessID, r *rand.Rand, k int) []ids.Proc
 	return dst[:start+k]
 }
 
-// SampleExcluding samples k members not present in exclude.
-func (v *View) SampleExcluding(r *rand.Rand, k int, exclude map[ids.ProcessID]struct{}) []ids.ProcessID {
-	return xrand.SampleExcluding(r, v.IDs(), k, exclude)
-}
-
 // Pick returns one random member, or false if the view is empty.
 func (v *View) Pick(r *rand.Rand) (ids.ProcessID, bool) {
 	if len(v.entries) == 0 {

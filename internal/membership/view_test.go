@@ -201,11 +201,6 @@ func TestSampleAndPick(t *testing.T) {
 	if len(s) != 3 {
 		t.Errorf("Sample len = %d", len(s))
 	}
-	excl := map[ids.ProcessID]struct{}{"a": {}, "b": {}, "c": {}}
-	s = v.SampleExcluding(r, 5, excl)
-	if len(s) != 2 {
-		t.Errorf("SampleExcluding len = %d", len(s))
-	}
 	if _, ok := v.Pick(r); !ok {
 		t.Error("Pick failed on non-empty view")
 	}
