@@ -21,6 +21,7 @@ import (
 	"damulticast/internal/baseline"
 	"damulticast/internal/sim"
 	"damulticast/internal/topic"
+	"damulticast/internal/xrand"
 )
 
 func main() {
@@ -226,6 +227,10 @@ func printMemTable(w io.Writer, levels []analysis.Level, alive float64, baseSeed
 	if err != nil {
 		return err
 	}
+	// core sizes the topic table (b+1)·ln S, not the paper's ln S + c,
+	// so the measured tables are set beside that sizing's closed form.
+	params := sim.PaperConfig(alive, baseSeed).Params
+	daBuilt := float64(xrand.ViewSize(1000, params.B) + params.Z)
 	daRoot, err := analysis.DaMulticastMemory(10, 5, 3, true)
 	if err != nil {
 		return err
@@ -245,7 +250,8 @@ func printMemTable(w io.Writer, levels []analysis.Level, alive float64, baseSeed
 	fmt.Fprintln(w, "== Memory complexity (membership entries per process, §VI-E.2) ==")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "algorithm\tclosed-form\tmeasured (max)\tformula")
-	fmt.Fprintf(tw, "daMulticast (T2 member)\t%.1f\t%.1f\tln S + c + z\n", daMem, most/float64(runs))
+	fmt.Fprintf(tw, "daMulticast (T2 member)\t%.1f\t-\tln S + c + z\n", daMem)
+	fmt.Fprintf(tw, "daMulticast (T2, as built)\t%.1f\t%.1f\t⌈(b+1)·ln S⌉ + z\n", daBuilt, most/float64(runs))
 	fmt.Fprintf(tw, "daMulticast (root member)\t%.1f\t-\tln S + c\n", daRoot)
 	fmt.Fprintf(tw, "(a) gossip broadcast\t%.1f\t-\tln n + c\n", bcMem)
 	fmt.Fprintf(tw, "(b) gossip multicast\t%.1f\t-\tΣ ln S_i + c_i\n", mcMem)

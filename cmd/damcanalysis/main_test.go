@@ -63,6 +63,18 @@ func TestRunMemTableShort(t *testing.T) {
 	if !strings.Contains(s, "Memory complexity") || !strings.Contains(s, "measured (max)") {
 		t.Errorf("missing memory table or its measured column:\n%s", s)
 	}
+	// At the paper's point the closed form of the sizing core builds
+	// is what the built topology holds.
+	const row = "daMulticast (T2, as built)"
+	for _, line := range strings.Split(s, "\n") {
+		if rest, ok := strings.CutPrefix(line, row); ok {
+			if f := strings.Fields(rest); len(f) < 2 || f[0] != f[1] {
+				t.Errorf("built-sizing row %q: closed form differs from measured", line)
+			}
+			return
+		}
+	}
+	t.Errorf("missing %q row:\n%s", row, s)
 }
 
 func TestRunBadTable(t *testing.T) {

@@ -539,9 +539,9 @@ func (l *hubLoop) drainQuantum() {
 // handleFrame decodes one frame against the loop's pooled decoder and
 // feeds it to the routed process. The decoded message and its events
 // are scratch, valid only until the next decode — fine for every
-// handler (they consume synchronously, cloning what they deliver) —
-// except a process whose recovery store retains events, which gets
-// deep copies.
+// handler (they consume synchronously, and core copies the payload of
+// every event it delivers) — except a process whose recovery store
+// retains events, which gets deep copies.
 //
 //damcvet:nonblocking
 func (l *hubLoop) handleFrame(frame []byte) {
@@ -831,8 +831,8 @@ func (e *subEnv) Send(to ids.ProcessID, m *core.Message) {
 	putEncBuf(buf)
 }
 
-// SendBatch implements core.SendBatcher: the message is serialized
-// exactly once, and the same pooled frame goes out to every target.
+// SendBatch serializes the lent message exactly once, and the same
+// pooled frame goes out to every target; nothing of m is kept.
 func (e *subEnv) SendBatch(targets []ids.ProcessID, m *core.Message) {
 	buf := getEncBuf()
 	buf.b = wire.AppendMessage(buf.b, m)
@@ -848,7 +848,7 @@ func (e *subEnv) SendBatch(targets []ids.ProcessID, m *core.Message) {
 // channel — so sends never race a close.
 //
 //damcvet:nonblocking
-//damcvet:allow framealias(ev is core's Clone of the decoded event, so Payload is a fresh copy that aliases no frame or decoder buffer; the Event struct is copied field-by-field here)
+//damcvet:allow framealias(lent by core; Payload is core's fresh copy, aliasing no frame or decoder buffer, and the lent struct is copied field-by-field here)
 func (e *subEnv) Deliver(ev *core.Event) {
 	out := Event{
 		ID:      ev.ID.String(),

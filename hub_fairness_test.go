@@ -84,6 +84,47 @@ func TestPublishBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHubDeliveredPayloadsIndependent: core lends each delivered event
+// and hands over a fresh payload copy, so events the application holds
+// on to keep their own ids and payloads, none aliasing another.
+func TestHubDeliveredPayloadsIndependent(t *testing.T) {
+	pub, sub := twoHubPair(t, ".lend")
+	const n = 16
+	sent := payloads(n)
+	eventIDs, err := pub.PublishBatch(context.Background(), sent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]string, n)
+	for i, id := range eventIDs {
+		want[id] = string(sent[i])
+	}
+	// Collect every event before reading any of them.
+	got := drainTopics(t, sub, n, ".lend")
+	check := func(skip int) {
+		t.Helper()
+		seen := make(map[string]bool, n)
+		for i, ev := range got {
+			w, ok := want[ev.ID]
+			switch {
+			case !ok || seen[ev.ID]:
+				t.Errorf("event %d: id %q unknown or repeated", i, ev.ID)
+			case i != skip && string(ev.Payload) != w:
+				t.Errorf("event %s: payload %q, want %q", ev.ID, ev.Payload, w)
+			}
+			seen[ev.ID] = true
+		}
+	}
+	check(-1)
+	got[0].Payload[0] = '!'
+	check(0)
+	for i, p := range sent {
+		if string(p) != fmt.Sprintf("e%d", i) {
+			t.Errorf("published payload %d changed to %q", i, p)
+		}
+	}
+}
+
 // TestOverflowDropNewest: under the default policy a full Events
 // channel keeps the unread backlog and discards arrivals, counted as
 // DroppedNewest.

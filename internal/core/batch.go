@@ -16,6 +16,8 @@ package core
 // runs under it and golden digests are unaffected.
 
 import (
+	"slices"
+
 	"damulticast/internal/ids"
 	"damulticast/internal/topic"
 )
@@ -71,7 +73,7 @@ func (p *Process) onEventBatch(m *Message) {
 		}
 		p.rememberEvent(ev)
 		p.disseminateInto(acc, ev)
-		p.env.Deliver(ev.Clone())
+		p.deliver(ev)
 	}
 	p.flushAccum(acc)
 }
@@ -91,10 +93,11 @@ type batchKey struct {
 
 // batchAccum groups per-event election results by (target, group) in
 // first-touch order, so the flush emits frames in a deterministic
-// order.
+// order. Flights keep their evs backing arrays across resets.
 type batchAccum struct {
 	flights []batchFlight
 	index   map[batchKey]int
+	to      [1]ids.ProcessID // the one-target list flushAccum lends
 }
 
 func (a *batchAccum) add(to ids.ProcessID, dest topic.Topic, ev *Event) {
@@ -103,12 +106,20 @@ func (a *batchAccum) add(to ids.ProcessID, dest topic.Topic, ev *Event) {
 		a.flights[i].evs = append(a.flights[i].evs, ev)
 		return
 	}
-	a.index[k] = len(a.flights)
-	a.flights = append(a.flights, batchFlight{to: to, dest: dest, evs: []*Event{ev}})
+	n := len(a.flights)
+	a.index[k] = n
+	a.flights = slices.Grow(a.flights, 1)[:n+1]
+	f := &a.flights[n]
+	f.to, f.dest, f.evs = to, dest, append(f.evs[:0], ev)
 }
 
+// reset empties the accumulator, clearing every event pointer so that
+// the reused evs arrays retain no event.
 func (a *batchAccum) reset() {
 	clear(a.index)
+	for _, f := range a.flights {
+		clear(f.evs)
+	}
 	a.flights = a.flights[:0]
 }
 
@@ -122,7 +133,6 @@ func (p *Process) takeAccum() *batchAccum {
 	if acc == nil {
 		acc = &batchAccum{index: make(map[batchKey]int)}
 	}
-	acc.reset()
 	return acc
 }
 
@@ -142,25 +152,20 @@ func (p *Process) disseminateInto(acc *batchAccum, ev *Event) {
 }
 
 // flushAccum emits one message per accumulated (target, group) pair —
-// MsgEventBatch for several events, plain MsgEvent for one — and
-// returns the accumulator for reuse. Sent messages are never mutated
-// afterwards (receivers may retain them).
+// MsgEventBatch for several events, plain MsgEvent for one — through
+// SendBatch to a one-target list, then resets the accumulator and
+// returns it for reuse.
 func (p *Process) flushAccum(acc *batchAccum) {
 	for i := range acc.flights {
 		f := &acc.flights[i]
-		m := &Message{
-			From:      p.id,
-			FromTopic: p.topic,
-			Dest:      f.dest,
+		m := p.takeOut(Message{Type: MsgEvent, From: p.id, FromTopic: p.topic, Dest: f.dest, Event: f.evs[0]})
+		if len(f.evs) > 1 {
+			m.Type, m.Event, m.Events = MsgEventBatch, nil, f.evs
 		}
-		if len(f.evs) == 1 {
-			m.Type = MsgEvent
-			m.Event = f.evs[0]
-		} else {
-			m.Type = MsgEventBatch
-			m.Events = f.evs
-		}
-		p.env.Send(f.to, m)
+		acc.to[0] = f.to
+		p.env.SendBatch(acc.to[:], m)
+		p.putOut(m)
 	}
+	acc.reset()
 	p.accum = acc
 }

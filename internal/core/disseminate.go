@@ -56,13 +56,13 @@ func (p *Process) receiveEvent(ev *Event) bool {
 	}
 	p.rememberEvent(ev)
 	p.disseminate(ev)
-	p.env.Deliver(ev.Clone())
+	p.deliver(ev)
 	return true
 }
 
 // disseminate implements DISSEMINATE (Fig. 7) for one event: it runs
 // the election and sends the event as ONE message per destination
-// group via sendSegments. Batch-capable envs serialize it a single
+// group via sendSegments. The live runtime serializes it a single
 // time per group, and every frame carries the Dest demux of the group
 // it is for (supergroup targets live in a different group than the
 // intra-group gossip targets).
@@ -73,12 +73,9 @@ func (p *Process) disseminate(ev *Event) {
 	// allocate its own buffer rather than scribble over the one the
 	// outer send loop is iterating. The grown buffers are kept after.
 	p.batch, p.segs = nil, nil
-	p.sendSegments(targets, segs, &Message{
-		Type:      MsgEvent,
-		From:      p.id,
-		FromTopic: p.topic,
-		Event:     ev,
-	})
+	m := p.takeOut(Message{Type: MsgEvent, From: p.id, FromTopic: p.topic, Event: ev})
+	p.sendSegments(targets, segs, m)
+	p.putOut(m)
 	p.batch, p.segs = targets[:0], segs[:0]
 }
 

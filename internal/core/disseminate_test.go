@@ -328,20 +328,7 @@ func TestNoParasiteDeliveries(t *testing.T) {
 // grown to the view sizes it must not allocate: the supertopic tables
 // are walked by index and the gossip sample is drawn into the batch.
 func TestElectAllocsNothingAtSteadyState(t *testing.T) {
-	env := newFakeEnv(1)
-	params := testParams()
-	params.GroupSizeHint = 100
-	params.G = 10000 // pSel = 1: every election walks every supertopic table
-	params.A = 3
-	params.Z = 3
-	p := MustNewProcess("p0", ".a.b", params, env)
-	p.SetTopicTableCap(64)
-	var mates []ids.ProcessID
-	for i := 0; i < 50; i++ {
-		mates = append(mates, ids.Indexed("m", i))
-	}
-	p.SeedTopicTable(mates)
-	p.SeedSuperTable(".a", []ids.ProcessID{"s1", "s2", "s3"})
+	p := hotProcess(newFakeEnv(1)) // pSel = 1: every election walks every supertopic table
 	if err := p.AddExtraSuperTable(".x", []ids.ProcessID{"x1", "x2", "x3"}); err != nil {
 		t.Fatal(err)
 	}

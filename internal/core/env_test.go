@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 
 	"damulticast/internal/ids"
 	"damulticast/internal/topic"
@@ -29,7 +30,15 @@ func (e *fakeEnv) Send(to ids.ProcessID, m *Message) {
 	e.sent = append(e.sent, sentMsg{to: to, msg: m})
 }
 
-func (e *fakeEnv) Deliver(ev *Event) { e.delivered = append(e.delivered, ev) }
+// SendBatch records one send per target of a copy of the lent message.
+func (e *fakeEnv) SendBatch(targets []ids.ProcessID, m *Message) {
+	cp := keepMessage(m)
+	for _, to := range targets {
+		e.Send(to, cp)
+	}
+}
+
+func (e *fakeEnv) Deliver(ev *Event) { e.delivered = append(e.delivered, keepEvent(ev)) }
 
 func (e *fakeEnv) Neighborhood(k int) []ids.ProcessID {
 	return xrand.SampleIDs(e.rng, e.neighbors, k)
@@ -81,8 +90,30 @@ func (e *kernelEnv) Send(to ids.ProcessID, m *Message) {
 	e.k.queue = append(e.k.queue, kernelMsg{to: to, msg: m})
 }
 
+func (e *kernelEnv) SendBatch(targets []ids.ProcessID, m *Message) {
+	cp := keepMessage(m)
+	for _, to := range targets {
+		e.Send(to, cp)
+	}
+}
+
 func (e *kernelEnv) Deliver(ev *Event) {
-	e.k.delivered[e.id] = append(e.k.delivered[e.id], ev)
+	e.k.delivered[e.id] = append(e.k.delivered[e.id], keepEvent(ev))
+}
+
+// keepMessage copies a message lent to Env.SendBatch, as an env that
+// keeps it must: the struct and its Events slice.
+func keepMessage(m *Message) *Message {
+	cp := *m
+	cp.Events = slices.Clone(m.Events)
+	return &cp
+}
+
+// keepEvent copies an event lent to Env.Deliver; its payload is
+// already the env's.
+func keepEvent(ev *Event) *Event {
+	cp := *ev
+	return &cp
 }
 
 func (e *kernelEnv) Neighborhood(k int) []ids.ProcessID {

@@ -22,7 +22,7 @@ func init() {
 // Leave announces departure to every known group mate and supergroup
 // contact, then stops the process. The identical announcement goes to
 // every target of a destination group, so it is batched through
-// sendSegments: batch-capable envs serialize it once per group, and
+// sendSegments: the live runtime serializes it once per group, and
 // every frame carries the Dest demux of the group the receiver is in.
 // Idempotent: a stopped process leaves silently.
 func (p *Process) Leave() {
@@ -40,11 +40,9 @@ func (p *Process) Leave() {
 		segs = appendSeg(segs, sup, len(targets))
 	}
 	p.batch, p.segs = nil, nil // reentrancy guard; see disseminate
-	p.sendSegments(targets, segs, &Message{
-		Type:      MsgLeave,
-		From:      p.id,
-		FromTopic: p.topic,
-	})
+	m := p.takeOut(Message{Type: MsgLeave, From: p.id, FromTopic: p.topic})
+	p.sendSegments(targets, segs, m)
+	p.putOut(m)
 	p.batch, p.segs = targets[:0], segs[:0]
 	p.Stop()
 }

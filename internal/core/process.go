@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -26,8 +27,17 @@ import (
 type Env interface {
 	// Send transmits m to the process identified by to, best-effort
 	// (the channel may drop it; the paper assumes unreliable links).
+	// The env keeps m: the Process never touches it again.
 	Send(to ids.ProcessID, m *Message)
-	// Deliver hands a first-time event to the application.
+	// SendBatch transmits m to every target, like Send; the live
+	// runtime serializes it once. Both are lent for the duration of
+	// the call and reused by the Process, so an env that keeps m
+	// copies the struct and its Events slice (the events themselves
+	// are never mutated).
+	SendBatch(targets []ids.ProcessID, m *Message)
+	// Deliver hands a first-time event to the application. *ev is lent
+	// for the duration of the call, so an env that keeps it copies the
+	// struct; ev.Payload is a fresh copy that the env may keep.
 	Deliver(ev *Event)
 	// Neighborhood returns up to k processes from the weakly
 	// consistent global overlay (the paper's neighborhood(p), used
@@ -36,20 +46,6 @@ type Env interface {
 	// Rand is the process's random source (seedable for
 	// reproducibility).
 	Rand() *rand.Rand
-}
-
-// SendBatcher is an optional Env extension for envs that can transmit
-// one message to many targets more cheaply than repeated Send calls —
-// the live runtime serializes the message once and fans the same
-// frame out to every target. The Process routes its event fan-out and
-// leave announcements through it when available.
-//
-// Contract: targets is only valid for the duration of the call (the
-// Process reuses the slice), and m is shared across all targets and
-// possibly retained by simulators, so receivers must treat it as
-// immutable.
-type SendBatcher interface {
-	SendBatch(targets []ids.ProcessID, m *Message)
 }
 
 // Process is one daMulticast process: a member of exactly one topic
@@ -108,9 +104,6 @@ type Process struct {
 	subContacts      []subContact
 	recoverStats     recoveryCounters
 
-	// batcher caches the env's optional SendBatcher implementation
-	// (one type assertion at construction, not one per event).
-	batcher SendBatcher
 	// batch is the reusable target-collection buffer for fan-outs.
 	batch []ids.ProcessID
 	// segs is the reusable destination-group segmentation of batch:
@@ -121,6 +114,10 @@ type Process struct {
 	// accum is the reusable multi-event coalescing accumulator for the
 	// batched dissemination paths (batch.go); nil while one is in use.
 	accum *batchAccum
+	// out is the fan-out message lent to SendBatch (see takeOut).
+	out *Message
+	// delivered is the event lent to Deliver, refilled every time.
+	delivered Event
 
 	findSuper *findSuperState
 
@@ -173,27 +170,10 @@ func NewProcess(id ids.ProcessID, tp topic.Topic, params Params, env Env) (*Proc
 		pingStarted: -1,
 	}
 	p.gossiper = membership.NewGossiper(id, p.topicTable)
-	p.batcher, _ = env.(SendBatcher)
 	if p.recoveryEnabled() {
 		p.store = newEventStore(params.RecoverStoreCap)
 	}
 	return p, nil
-}
-
-// sendToAll transmits one shared message to every target, through the
-// env's batch path when it has one. Callers hand over p.batch (or any
-// scratch slice); the env must not retain it.
-func (p *Process) sendToAll(targets []ids.ProcessID, m *Message) {
-	if len(targets) == 0 {
-		return
-	}
-	if p.batcher != nil {
-		p.batcher.SendBatch(targets, m)
-		return
-	}
-	for _, to := range targets {
-		p.env.Send(to, m)
-	}
 }
 
 // groupSeg marks one destination group's contiguous slice of a batched
@@ -218,24 +198,43 @@ func appendSeg(segs []groupSeg, dest topic.Topic, end int) []groupSeg {
 }
 
 // sendSegments fans one logical message out over a segmented target
-// list: each destination group gets its own copy of proto with the
-// matching wire Dest, sent via sendToAll (so batch-capable envs still
-// serialize once per group). The first segment reuses proto itself —
-// the dominant all-intra-group fan-out costs exactly one Message, as
-// before segmentation. Receivers may retain the sent messages, so a
-// message handed to the env is never mutated again.
-func (p *Process) sendSegments(targets []ids.ProcessID, segs []groupSeg, proto *Message) {
+// list: each destination group's segment goes out in one SendBatch
+// call with m.Dest set to that group, so the live runtime serializes
+// once per group. m is lent to each call and refilled for the next.
+func (p *Process) sendSegments(targets []ids.ProcessID, segs []groupSeg, m *Message) {
 	start := 0
-	for i, s := range segs {
-		m := proto
-		if i > 0 {
-			cp := *proto
-			m = &cp
-		}
+	for _, s := range segs {
 		m.Dest = s.dest
-		p.sendToAll(targets[start:s.end], m)
+		p.env.SendBatch(targets[start:s.end], m)
 		start = s.end
 	}
+}
+
+// takeOut hands out the process's reusable fan-out message filled
+// with m, detaching it first: should an Env ever re-enter this process
+// mid-fan-out, the nested fan-out fills a message of its own rather
+// than the one being sent. putOut returns it, dropping its events.
+func (p *Process) takeOut(m Message) *Message {
+	out := p.out
+	p.out = nil
+	if out == nil {
+		out = new(Message)
+	}
+	*out = m
+	return out
+}
+
+func (p *Process) putOut(m *Message) {
+	m.Event, m.Events = nil, nil
+	p.out = m
+}
+
+// deliver lends the application ev's id and topic with a fresh copy
+// of its payload, which is the env's from then on.
+func (p *Process) deliver(ev *Event) {
+	p.delivered = Event{ID: ev.ID, Topic: ev.Topic, Payload: bytes.Clone(ev.Payload)}
+	p.env.Deliver(&p.delivered)
+	p.delivered.Payload = nil
 }
 
 // MustNewProcess is NewProcess for tests and fixtures with known-good

@@ -355,7 +355,7 @@ func (p *Process) doRecover() {
 	}
 	bits, k, seed := p.buildDigest()
 	p.batch = nil // reentrancy guard; see disseminate
-	p.sendToAll(targets, &Message{
+	p.env.SendBatch(targets, &Message{
 		Type:      MsgDigest,
 		From:      p.id,
 		FromTopic: p.topic,

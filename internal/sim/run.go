@@ -84,21 +84,22 @@ type nodeEnv struct {
 	net     *simnet.Network
 	overlay *[]ids.ProcessID
 	rng     *rand.Rand
-	pending []*core.Event // deliveries buffered during the round phase
+	pending []core.Event // deliveries buffered during the round phase, reused every round
 }
 
 func (e *nodeEnv) Send(to ids.ProcessID, m *core.Message) { e.net.Send(e.id, to, m) }
 
-// SendBatch implements core.SendBatcher. The kernel carries messages
-// by reference, so batching is just the per-target loop — but routing
-// fan-outs through here keeps the sim on the exact code path the live
-// runtime uses, loss coins drawn in the same per-target order.
+// SendBatch copies the lent message once, since the kernel carries
+// messages by reference until they are delivered, and queues the copy
+// to every target, loss coins drawn in per-target order.
 func (e *nodeEnv) SendBatch(targets []ids.ProcessID, m *core.Message) {
+	cp := *m
+	cp.Events = slices.Clone(m.Events)
 	for _, to := range targets {
-		e.net.Send(e.id, to, m)
+		e.net.Send(e.id, to, &cp)
 	}
 }
-func (e *nodeEnv) Deliver(ev *core.Event) { e.pending = append(e.pending, ev) }
+func (e *nodeEnv) Deliver(ev *core.Event) { e.pending = append(e.pending, *ev) }
 func (e *nodeEnv) Rand() *rand.Rand       { return e.rng }
 func (e *nodeEnv) Neighborhood(k int) []ids.ProcessID {
 	return xrand.SampleIDs(e.rng, *e.overlay, k)
@@ -297,8 +298,8 @@ func (r *Runner) onSend(env simnet.Envelope, dropped bool) {
 // race-free and the recorded order is canonical for any worker count.
 func (r *Runner) flushDeliveries(round int) {
 	for _, e := range r.envs {
-		for _, ev := range e.pending {
-			r.recordDeliver(e.id, ev, round)
+		for i := range e.pending {
+			r.recordDeliver(e.id, &e.pending[i], round)
 		}
 		e.pending = e.pending[:0]
 	}
