@@ -135,7 +135,7 @@ type bEvent struct {
 // event to a sample of each of its views.
 type bNode struct {
 	id    ids.ProcessID
-	net   *simnet.Network
+	port  simnet.Port
 	rng   *rand.Rand
 	topic topic.Topic // the topic this node is interested in
 
@@ -177,7 +177,7 @@ func (n *bNode) forward(ev bEvent) {
 	for _, v := range n.views {
 		for _, target := range xrand.SampleIDs(n.rng, v.pool, v.fanout) {
 			if target != n.id {
-				n.net.Send(n.id, target, ev)
+				n.port.Send(target, ev)
 			}
 		}
 	}
@@ -235,7 +235,6 @@ func newWorld(cfg Config) (*world, error) {
 			id := ids.ProcessID(fmt.Sprintf("%s#%d", pop.Topic, i))
 			n := &bNode{
 				id:    id,
-				net:   w.net,
 				rng:   xrand.NewStream(cfg.Seed, "bnode:"+string(id)),
 				topic: pop.Topic,
 				seen:  make(map[ids.EventID]bool),
@@ -245,6 +244,7 @@ func newWorld(cfg Config) (*world, error) {
 			if err := w.net.AddNode(n); err != nil {
 				return nil, err
 			}
+			n.port = w.net.Port(id)
 		}
 	}
 	// Stillborn failures, uniformly across the whole population.

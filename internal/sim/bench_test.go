@@ -63,6 +63,26 @@ func BenchmarkScenarioChurn20k(b *testing.B) {
 	b.ReportMetric(rel/float64(b.N), "delivery")
 }
 
+// BenchmarkRunnerPublishPaper times one publication on a built
+// paper-topology Runner (1000/100/10 processes, psucc 0.85, one kernel
+// worker), driven to quiescence: the simulated round's per-message
+// path — kernel merge, core.Process, counting — without the build.
+func BenchmarkRunnerPublishPaper(b *testing.B) {
+	cfg := PaperConfig(1.0, 1)
+	cfg.Workers = 1
+	r, err := NewRunner(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestSharded20kCompletes is the scaled-kernel acceptance gate: a
 // 20,000-process single-topic dissemination must complete on the
 // sharded kernel and reach the overwhelming majority of the group.

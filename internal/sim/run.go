@@ -81,13 +81,15 @@ func (n *node) HandleMessage(msg any) {
 // buffers serially in insertion order at the end of every round.
 type nodeEnv struct {
 	id      ids.ProcessID
-	net     *simnet.Network
+	slot    int // node slot in the kernel, and index in Runner.envs
+	group   int // index of the process's group in Config.Groups
+	port    simnet.Port
 	overlay *[]ids.ProcessID
 	rng     *rand.Rand
 	pending []core.Event // deliveries buffered during the round phase, reused every round
 }
 
-func (e *nodeEnv) Send(to ids.ProcessID, m *core.Message) { e.net.Send(e.id, to, m) }
+func (e *nodeEnv) Send(to ids.ProcessID, m *core.Message) { e.port.Send(to, m) }
 
 // SendBatch copies the lent message once, since the kernel carries
 // messages by reference until they are delivered, and queues the copy
@@ -96,7 +98,7 @@ func (e *nodeEnv) SendBatch(targets []ids.ProcessID, m *core.Message) {
 	cp := *m
 	cp.Events = slices.Clone(m.Events)
 	for _, to := range targets {
-		e.net.Send(e.id, to, &cp)
+		e.port.Send(to, &cp)
 	}
 }
 func (e *nodeEnv) Deliver(ev *core.Event) { e.pending = append(e.pending, *ev) }
@@ -112,14 +114,23 @@ type Runner struct {
 	net     *simnet.Network
 	reg     *metrics.Registry
 	groups  map[topic.Topic][]*core.Process
-	byID    map[ids.ProcessID]*core.Process
-	topicOf map[ids.ProcessID]topic.Topic
 	overlay []ids.ProcessID
-	envs    []*nodeEnv // insertion order, for deterministic delivery flush
-	// received[eventID][process] marks deliveries.
-	received map[ids.EventID]map[ids.ProcessID]bool
-	// firstRound[group] is the earliest round any member delivered.
-	firstRound map[topic.Topic]int
+	envs    []*nodeEnv // by node slot, for deterministic delivery flush
+	// base[g] is the node slot of group g's first member: a group's
+	// members hold consecutive slots, in Config.Groups order.
+	base []int
+	// counts accumulates every send and delivery since the last fold
+	// into reg.
+	counts tally
+	// tracked maps each event published since the last collect to its
+	// row in reached, a bitset over node slots of who has it. Both are
+	// emptied at collect, so the Runner keeps no per-event state
+	// across Runs.
+	tracked map[ids.EventID]int
+	reached [][]uint64
+	// firstRound[g] is the earliest round any member of group g
+	// delivered (0: none yet; rounds start at 1).
+	firstRound []int
 	pubCount   uint64
 	// harvested guards the one-shot fold of per-process recovery
 	// counters into the registry (collect may run more than once on a
@@ -135,15 +146,21 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	total := 0
+	for _, g := range cfg.Groups {
+		total += g.Size
+	}
 	r := &Runner{
 		cfg:        cfg,
 		net:        simnet.New(cfg.Seed),
 		reg:        metrics.NewRegistry(),
 		groups:     make(map[topic.Topic][]*core.Process, len(cfg.Groups)),
-		byID:       make(map[ids.ProcessID]*core.Process),
-		topicOf:    make(map[ids.ProcessID]topic.Topic),
-		received:   make(map[ids.EventID]map[ids.ProcessID]bool),
-		firstRound: make(map[topic.Topic]int),
+		overlay:    make([]ids.ProcessID, 0, total),
+		envs:       make([]*nodeEnv, 0, total),
+		base:       make([]int, len(cfg.Groups)),
+		counts:     newTally(len(cfg.Groups)),
+		tracked:    make(map[ids.EventID]int),
+		firstRound: make([]int, len(cfg.Groups)),
 	}
 	r.net.PSucc = cfg.PSucc
 	r.net.OnSend = r.onSend
@@ -156,14 +173,17 @@ func NewRunner(cfg Config) (*Runner, error) {
 		cfg.Params.RecoverPeriod > 0
 
 	// Create processes.
-	for _, g := range cfg.Groups {
+	for gi, g := range cfg.Groups {
 		params := cfg.Params
 		params.GroupSizeHint = g.Size
+		r.base[gi] = len(r.envs)
+		r.groups[g.Topic] = make([]*core.Process, 0, g.Size)
 		for i := 0; i < g.Size; i++ {
 			id := ids.Indexed(string(g.Topic), i)
 			env := &nodeEnv{
 				id:      id,
-				net:     r.net,
+				slot:    len(r.envs),
+				group:   gi,
 				overlay: &r.overlay,
 				rng:     xrand.NewStream(cfg.Seed, "proc:"+string(id)),
 			}
@@ -172,13 +192,12 @@ func NewRunner(cfg Config) (*Runner, error) {
 				return nil, err
 			}
 			r.groups[g.Topic] = append(r.groups[g.Topic], proc)
-			r.byID[id] = proc
-			r.topicOf[id] = g.Topic
 			r.overlay = append(r.overlay, id)
 			r.envs = append(r.envs, env)
 			if err := r.net.AddNode(&node{proc: proc, env: env}); err != nil {
 				return nil, err
 			}
+			env.port = r.net.Port(id)
 		}
 	}
 
@@ -274,21 +293,83 @@ func (r *Runner) onSend(env simnet.Envelope, dropped bool) {
 	if !ok {
 		return
 	}
-	src, dst := r.topicOf[env.From], r.topicOf[env.To]
+	c := &r.counts
+	src, dst := r.groupAt(env.FromIndex()), r.groupAt(env.ToIndex())
 	switch {
 	case m.Type == core.MsgEvent:
 		if src == dst {
-			r.reg.IncIntra(src)
+			c.byKind[metrics.IntraGroup][src]++
 		} else {
-			r.reg.IncInter(src, dst)
+			c.inter[src*c.width+dst]++
 		}
 	case m.Type.IsRecovery():
-		r.reg.IncRecoverMsg(src)
+		c.byKind[metrics.RecoverMsg][src]++
 	default:
-		r.reg.IncControl(src)
+		c.byKind[metrics.Control][src]++
 	}
 	if dropped {
-		r.reg.IncDropped(src)
+		c.byKind[metrics.Dropped][src]++
+	}
+}
+
+// groupAt returns the group index of a node slot, or the tally's
+// no-group index for a slot of -1 (an id that is no process).
+func (r *Runner) groupAt(slot int) int {
+	if slot < 0 {
+		return len(r.cfg.Groups)
+	}
+	return r.envs[slot].group
+}
+
+// tally holds the Runner's counts in flat arrays, the way scale.Sink
+// does: per kind and group, and per source and destination group for
+// inter-group sends. Index len(Config.Groups) stands for ids that are
+// no process, whose registry topic is "". fold moves the counts into a
+// registry.
+type tally struct {
+	width  int                             // groups + 1
+	byKind [metrics.RecoverMsg + 1][]int64 // kind -> group -> count
+	inter  []int64                         // src*width + dst -> count
+}
+
+// tallyKinds are the kinds a tally counts per group.
+var tallyKinds = [...]metrics.Kind{
+	metrics.IntraGroup, metrics.Delivered, metrics.Parasite,
+	metrics.Control, metrics.Dropped, metrics.RecoverMsg,
+}
+
+func newTally(groups int) tally {
+	t := tally{width: groups + 1, inter: make([]int64, (groups+1)*(groups+1))}
+	for _, k := range tallyKinds {
+		t.byKind[k] = make([]int64, t.width)
+	}
+	return t
+}
+
+// fold adds the counts to reg and zeroes them. Only non-zero counts are
+// added, so reg holds the same keys as if every message had been
+// counted into it directly.
+func (r *Runner) fold() {
+	c := &r.counts
+	topicAt := func(g int) topic.Topic {
+		if g < len(r.cfg.Groups) {
+			return r.cfg.Groups[g].Topic
+		}
+		return ""
+	}
+	for _, k := range tallyKinds {
+		for g, v := range c.byKind[k] {
+			if v != 0 {
+				r.reg.Add(metrics.Key{Kind: k, Topic: topicAt(g)}, v)
+				c.byKind[k][g] = 0
+			}
+		}
+	}
+	for i, v := range c.inter {
+		if v != 0 {
+			r.reg.AddInter(topicAt(i/c.width), topicAt(i%c.width), v)
+			c.inter[i] = 0
+		}
 	}
 }
 
@@ -299,7 +380,7 @@ func (r *Runner) onSend(env simnet.Envelope, dropped bool) {
 func (r *Runner) flushDeliveries(round int) {
 	for _, e := range r.envs {
 		for i := range e.pending {
-			r.recordDeliver(e.id, &e.pending[i], round)
+			r.recordDeliver(e, &e.pending[i], round)
 		}
 		e.pending = e.pending[:0]
 	}
@@ -307,19 +388,46 @@ func (r *Runner) flushDeliveries(round int) {
 
 // recordDeliver records one delivery and checks the no-parasite
 // invariant.
-func (r *Runner) recordDeliver(id ids.ProcessID, ev *core.Event, round int) {
-	gt := r.topicOf[id]
-	if !gt.Includes(ev.Topic) {
-		r.reg.IncParasite(gt)
+func (r *Runner) recordDeliver(e *nodeEnv, ev *core.Event, round int) {
+	g := e.group
+	if !r.cfg.Groups[g].Topic.Includes(ev.Topic) {
+		r.counts.byKind[metrics.Parasite][g]++
 		return
 	}
-	r.reg.IncDelivered(gt)
-	if set, ok := r.received[ev.ID]; ok {
-		set[id] = true
+	r.counts.byKind[metrics.Delivered][g]++
+	if row, ok := r.tracked[ev.ID]; ok {
+		setBit(r.reached[row], e.slot)
 	}
-	if _, ok := r.firstRound[gt]; !ok {
-		r.firstRound[gt] = round
+	if r.firstRound[g] == 0 {
+		r.firstRound[g] = round
 	}
+}
+
+func setBit(set []uint64, i int)      { set[i/64] |= 1 << (i % 64) }
+func hasBit(set []uint64, i int) bool { return set[i/64]&(1<<(i%64)) != 0 }
+
+// track starts tracking who receives event id, which slot published.
+// An id published again starts over from its publisher alone.
+func (r *Runner) track(id ids.EventID, slot int) {
+	row, ok := r.tracked[id]
+	if ok {
+		clear(r.reached[row])
+	} else {
+		row = len(r.tracked)
+		if row == len(r.reached) {
+			r.reached = append(r.reached, make([]uint64, (len(r.envs)+63)/64))
+		}
+		r.tracked[id] = row
+	}
+	setBit(r.reached[row], slot)
+}
+
+// untrack forgets every tracked event.
+func (r *Runner) untrack() {
+	for _, set := range r.reached[:len(r.tracked)] {
+		clear(set)
+	}
+	clear(r.tracked)
 }
 
 // PublishFrom makes a random alive member of the publish group publish
@@ -334,23 +442,23 @@ func (r *Runner) PublishFrom(rng *rand.Rand) (ids.EventID, error) {
 // the given group.
 func (r *Runner) publishFromGroup(t topic.Topic, rng *rand.Rand) (ids.EventID, error) {
 	members := r.groups[t]
-	alive := make([]*core.Process, 0, len(members))
-	for _, p := range members {
+	alive := make([]int, 0, len(members))
+	for i, p := range members {
 		if !p.Stopped() {
-			alive = append(alive, p)
+			alive = append(alive, i)
 		}
 	}
 	if len(alive) == 0 {
 		return ids.EventID{}, fmt.Errorf("sim: no alive publisher in %s", t)
 	}
-	pub := alive[rng.Intn(len(alive))]
+	i := alive[rng.Intn(len(alive))]
 	r.pubCount++
-	ev, err := pub.Publish([]byte(fmt.Sprintf("event-%d", r.pubCount)))
+	ev, err := members[i].Publish([]byte(fmt.Sprintf("event-%d", r.pubCount)))
 	if err != nil {
 		return ids.EventID{}, err
 	}
 	// The publisher counts as trivially reached.
-	r.received[ev.ID] = map[ids.ProcessID]bool{pub.ID(): true}
+	r.track(ev.ID, r.base[r.groupIndex(t)]+i)
 	return ev.ID, nil
 }
 
@@ -416,7 +524,14 @@ func (r *Runner) harvestRecoveryStats() {
 	}
 }
 
+// groupIndex returns t's index in Config.Groups, or -1.
+func (r *Runner) groupIndex(t topic.Topic) int {
+	return slices.IndexFunc(r.cfg.Groups, func(g GroupSpec) bool { return g.Topic == t })
+}
+
 func (r *Runner) collect(evs []ids.EventID, rounds int) *Result {
+	defer r.untrack()
+	r.fold()
 	r.harvestRecoveryStats()
 	res := &Result{
 		Intra:              make(map[topic.Topic]int64),
@@ -427,7 +542,7 @@ func (r *Runner) collect(evs []ids.EventID, rounds int) *Result {
 		Reliability:        make(map[topic.Topic]float64),
 		ReliabilityAll:     make(map[topic.Topic]float64),
 		AllAliveReached:    make(map[topic.Topic]bool),
-		FirstDeliveryRound: make(map[topic.Topic]int, len(r.firstRound)),
+		FirstDeliveryRound: make(map[topic.Topic]int, len(r.cfg.Groups)),
 		KindTotals:         make(map[string]int64),
 		Rounds:             rounds,
 	}
@@ -442,10 +557,10 @@ func (r *Runner) collect(evs []ids.EventID, rounds int) *Result {
 			res.TotalEvents += row.Value
 		}
 	}
-	for gt, round := range r.firstRound {
-		res.FirstDeliveryRound[gt] = round
-	}
-	for _, g := range r.cfg.Groups {
+	for gi, g := range r.cfg.Groups {
+		if round := r.firstRound[gi]; round != 0 {
+			res.FirstDeliveryRound[g.Topic] = round
+		}
 		res.Size[g.Topic] = g.Size
 		res.Intra[g.Topic] = r.reg.Intra(g.Topic)
 		alive := 0
@@ -461,9 +576,10 @@ func (r *Runner) collect(evs []ids.EventID, rounds int) *Result {
 		allReached := true
 		var fracSum float64
 		for _, evID := range evs {
+			set := r.reached[r.tracked[evID]]
 			got := 0
-			for _, p := range r.groups[g.Topic] {
-				if !p.Stopped() && r.received[evID][p.ID()] {
+			for i, p := range r.groups[g.Topic] {
+				if !p.Stopped() && hasBit(set, r.base[gi]+i) {
 					got++
 				}
 			}
@@ -494,8 +610,12 @@ func (r *Runner) collect(evs []ids.EventID, rounds int) *Result {
 	return res
 }
 
-// Registry exposes the metrics registry (for tests and benches).
-func (r *Runner) Registry() *metrics.Registry { return r.reg }
+// Registry exposes the metrics registry (for tests and benches), with
+// every count so far folded in.
+func (r *Runner) Registry() *metrics.Registry {
+	r.fold()
+	return r.reg
+}
 
 // Group returns the processes of one group (for tests).
 func (r *Runner) Group(t topic.Topic) []*core.Process { return r.groups[t] }

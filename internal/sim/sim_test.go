@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -446,5 +447,42 @@ func TestFigureSweepsSmall(t *testing.T) {
 	if fig11.Rows[0].Values["T2"] < fig10.Rows[0].Values["T2"]-0.05 {
 		t.Errorf("fig11 (%g) worse than fig10 (%g) at alive=0.5",
 			fig11.Rows[0].Values["T2"], fig10.Rows[0].Values["T2"])
+	}
+}
+
+// TestRunnerTrackingSteadyAcrossRuns checks the memory contract for a
+// Runner reused across Runs: it keeps no per-publication state, so
+// once core's duplicate windows are full its live heap stops growing.
+func TestRunnerTrackingSteadyAcrossRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("500 publications")
+	}
+	cfg := PaperConfig(1.0, 3)
+	cfg.Groups[1].Size, cfg.Groups[2].Size = 40, 200
+	cfg.Params.SeenCap = 32 // windows full after 48 publications
+	cfg.Workers = 1
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	var at100 uint64
+	for i := 1; i <= 500; i++ {
+		if _, err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if i == 100 {
+			at100 = liveHeap()
+		}
+	}
+	at500 := liveHeap()
+	runtime.KeepAlive(r)
+	if at500 > at100 && at500-at100 >= 64<<10 {
+		t.Errorf("live heap grew by %d B between Run 100 and Run 500, want < 64 KiB", at500-at100)
 	}
 }

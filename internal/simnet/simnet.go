@@ -12,12 +12,21 @@
 //
 // Messages sent in round r are delivered in round r+1.
 //
+// # Node slots
+//
+// AddNode gives each node a dense slot, its insertion index. The
+// kernel maps an id to its slot once per send (the target) and keeps
+// every other per-node structure — nodes, crash marks, sender state,
+// merge ranks — in slices indexed by slot. Envelopes carry the sender's
+// and target's slots (FromIndex, ToIndex), and a Port is a sender's
+// handle that skips the per-send sender lookup.
+//
 // # Sharded parallel execution
 //
 // The kernel partitions its nodes into P shards (Workers; default
-// GOMAXPROCS) and runs each round's HandleMessage/Tick phase
-// concurrently, one goroutine per shard. Determinism is preserved by
-// construction, not by locks:
+// GOMAXPROCS) of contiguous slots and runs each round's
+// HandleMessage/Tick phase concurrently, one goroutine per shard.
+// Determinism is preserved by construction, not by locks:
 //
 //   - every node draws randomness from its own stream, never from a
 //     shared source, so the interleaving of shards cannot change what
@@ -30,7 +39,10 @@
 //   - sends buffer into per-sender outboxes during the phase and merge
 //     into the next round's queue in a canonical order, sorted by
 //     (From, To, Seq), after all shards join. OnSend observers fire
-//     serially during the merge, in that same canonical order.
+//     serially during the merge, in that same canonical order. Each
+//     shard sorts its senders' outboxes by an integer key, the
+//     target's rank in ascending id order above the send's position,
+//     so the merge compares no strings.
 //
 // Consequently a run's full observable behavior — deliveries, their
 // order, loss decisions, OnSend sequences — is byte-identical for every
@@ -72,12 +84,23 @@ type Node interface {
 }
 
 // Envelope is one in-flight message. Seq is the per-sender send
-// counter, part of the canonical (From, To, Seq) merge order.
+// counter, part of the canonical (From, To, Seq) merge order. The
+// envelope also carries the sender's and the target's node slots as
+// they stood at send time (FromIndex, ToIndex).
 type Envelope struct {
 	From, To ids.ProcessID
 	Seq      uint64
 	Msg      any
+	from, to int32
 }
+
+// FromIndex returns the sender's node slot (its insertion index), or
+// -1 for a sender that was no node when it sent.
+func (e Envelope) FromIndex() int { return int(e.from) }
+
+// ToIndex returns the target's node slot, or -1 for a target that was
+// no node when the message was sent.
+func (e Envelope) ToIndex() int { return int(e.to) }
 
 // Errors.
 var (
@@ -103,19 +126,33 @@ type pendingSend struct {
 // The outbox slice is recycled across rounds ([:0] after each merge).
 type senderCtx struct {
 	id   ids.ProcessID
+	slot int32 // node slot, -1 while the sender is no node
 	out  []pendingSend
 	seq  uint64
 	loss *rand.Rand
 }
 
+// shardScratch is one shard's recycled outbox-sort buffers: the sort
+// keys and the copy the outbox is permuted from.
+type shardScratch struct {
+	keys []uint64
+	outs []pendingSend
+}
+
 // Network is the simulation kernel.
 type Network struct {
-	seed  int64
-	rng   *rand.Rand
-	nodes map[ids.ProcessID]Node
-	order []ids.ProcessID       // insertion order, for deterministic iteration
-	index map[ids.ProcessID]int // id -> insertion index (shard assignment)
-	ctx   map[ids.ProcessID]*senderCtx
+	seed int64
+	rng  *rand.Rand
+
+	// slots maps every id the kernel knows to its slot: a node's index
+	// into nodes, down, ctxs and rank (>= 0), or -(k+1) for extern[k], a
+	// sender that is no node (test drivers injecting traffic).
+	slots  map[ids.ProcessID]int32
+	nodes  []Node
+	down   []bool
+	ctxs   []*senderCtx
+	rank   []uint32 // node slot -> position in senders (ascending id)
+	extern []*senderCtx
 
 	queue    []Envelope // deliveries for the next round, canonical order
 	round    int
@@ -130,18 +167,20 @@ type Network struct {
 	delayed map[int][]Envelope
 
 	// senders lists every sender context in ascending id order — the
-	// concatenation order of the round merge. sendersDirty marks it
-	// stale after new ctxs appear (only legal between rounds); the next
-	// Step re-sorts it once instead of paying an ordered insert per add.
+	// concatenation order of the round merge. sendersDirty marks it and
+	// rank stale after nodes or senders appear (only legal between
+	// rounds); the next Step re-sorts once instead of paying an ordered
+	// insert per add.
 	senders      []*senderCtx
 	sendersDirty bool
 
 	// Recycled per-Step scratch (the kernel's rounds are allocation-free
 	// at steady state): the destination-shard partitions, the per-shard
-	// delivery counters, and the spare queue buffer that double-buffers
-	// with queue across rounds.
+	// delivery counters and outbox-sort buffers, and the spare queue
+	// buffer that double-buffers with queue across rounds.
 	perShard   [][]Envelope
 	delivered  []int
+	scratch    []shardScratch
 	queueSpare []Envelope
 
 	// PSucc is the per-message channel success probability (1 = lossless).
@@ -154,8 +193,6 @@ type Network struct {
 	// round phase inline (the sequential kernel). Results are identical
 	// for every value.
 	Workers int
-
-	down map[ids.ProcessID]bool
 
 	// pairDown, when non-nil, implements the weakly consistent model:
 	// pairDown(observer, target) reports whether target appears failed
@@ -191,10 +228,7 @@ func New(seed int64) *Network {
 	return &Network{
 		seed:  seed,
 		rng:   rand.New(rand.NewSource(seed)),
-		nodes: make(map[ids.ProcessID]Node),
-		index: make(map[ids.ProcessID]int),
-		ctx:   make(map[ids.ProcessID]*senderCtx),
-		down:  make(map[ids.ProcessID]bool),
+		slots: make(map[ids.ProcessID]int32),
 		PSucc: 1,
 	}
 }
@@ -211,73 +245,101 @@ func (n *Network) Seed() int64 { return n.seed }
 // Round returns the current round number (0 before the first Step).
 func (n *Network) Round() int { return n.round }
 
-// AddNode registers a node.
+// AddNode registers a node in the next slot.
 func (n *Network) AddNode(node Node) error {
 	id := node.ID()
-	if _, dup := n.nodes[id]; dup {
+	slot := int32(len(n.nodes))
+	var c *senderCtx
+	if s, ok := n.slots[id]; !ok {
+		c = n.newSenderCtx(id)
+	} else if s >= 0 {
 		return fmt.Errorf("%w: %s", ErrDuplicateNode, id)
+	} else {
+		// The id sent before it was a node: keep its ctx, so its Seq
+		// counter keeps climbing — the merge order relies on (From,
+		// Seq) uniqueness — and senders lists it once.
+		c = n.extern[-s-1]
+		n.extern[-s-1] = nil
 	}
-	n.nodes[id] = node
-	n.index[id] = len(n.order)
-	n.order = append(n.order, id)
-	n.newSenderCtx(id)
+	c.slot = slot
+	n.slots[id] = slot
+	n.nodes = append(n.nodes, node)
+	n.down = append(n.down, false)
+	n.ctxs = append(n.ctxs, c)
+	n.rank = append(n.rank, 0)
+	n.sendersDirty = true
 	return nil
 }
 
-// newSenderCtx returns the per-sender state for id, creating and
-// registering it on first sight. Reusing an existing ctx matters for
-// ids that sent before being registered as nodes (senderCtxFor): their
-// Seq counter must keep climbing, never restart — the merge order
-// relies on (From, Seq) uniqueness — and n.senders must list each
-// sender exactly once.
+// newSenderCtx creates the per-sender state for a new id and lists it
+// among the senders.
 func (n *Network) newSenderCtx(id ids.ProcessID) *senderCtx {
-	if c, ok := n.ctx[id]; ok {
-		return c
-	}
-	c := &senderCtx{id: id, loss: xrand.NewStream(n.seed, "loss:"+string(id))}
-	n.ctx[id] = c
+	c := &senderCtx{id: id, slot: -1, loss: xrand.NewStream(n.seed, "loss:"+string(id))}
 	n.senders = append(n.senders, c)
 	n.sendersDirty = true
 	return c
 }
 
+// nodeSlot returns id's node slot, or -1 if id is no node.
+func (n *Network) nodeSlot(id ids.ProcessID) int32 {
+	if s, ok := n.slots[id]; ok && s >= 0 {
+		return s
+	}
+	return -1
+}
+
 // Node returns the registered node, or nil.
-func (n *Network) Node(id ids.ProcessID) Node { return n.nodes[id] }
+func (n *Network) Node(id ids.ProcessID) Node {
+	if s := n.nodeSlot(id); s >= 0 {
+		return n.nodes[s]
+	}
+	return nil
+}
 
 // NodeIDs returns all node ids in insertion order (copy).
 func (n *Network) NodeIDs() []ids.ProcessID {
-	out := make([]ids.ProcessID, len(n.order))
-	copy(out, n.order)
+	out := make([]ids.ProcessID, len(n.ctxs))
+	for i, c := range n.ctxs {
+		out[i] = c.id
+	}
 	return out
 }
 
 // Len returns the number of nodes.
-func (n *Network) Len() int { return len(n.order) }
+func (n *Network) Len() int { return len(n.nodes) }
 
 // Crash marks a node failed for everyone (stillborn when applied
 // before the first round). Crashed nodes neither receive nor should
 // send; sends they nevertheless attempt are delivered (the kernel does
 // not police senders — protocol-level Stop should silence them).
 func (n *Network) Crash(id ids.ProcessID) error {
-	if _, ok := n.nodes[id]; !ok {
+	s := n.nodeSlot(id)
+	if s < 0 {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, id)
 	}
-	n.down[id] = true
+	n.down[s] = true
 	return nil
 }
 
 // Recover clears the crashed mark.
-func (n *Network) Recover(id ids.ProcessID) { delete(n.down, id) }
+func (n *Network) Recover(id ids.ProcessID) {
+	if s := n.nodeSlot(id); s >= 0 {
+		n.down[s] = false
+	}
+}
 
 // Down reports whether id is crashed.
-func (n *Network) Down(id ids.ProcessID) bool { return n.down[id] }
+func (n *Network) Down(id ids.ProcessID) bool {
+	s := n.nodeSlot(id)
+	return s >= 0 && n.down[s]
+}
 
 // AliveIDs returns ids of nodes not crashed, in insertion order.
 func (n *Network) AliveIDs() []ids.ProcessID {
-	out := make([]ids.ProcessID, 0, len(n.order))
-	for _, id := range n.order {
-		if !n.down[id] {
-			out = append(out, id)
+	out := make([]ids.ProcessID, 0, len(n.ctxs))
+	for i, c := range n.ctxs {
+		if !n.down[i] {
+			out = append(out, c.id)
 		}
 	}
 	return out
@@ -312,11 +374,32 @@ func (n *Network) SetLinkDelay(f func(from, to ids.ProcessID, seq uint64) int) {
 // senders that are not registered nodes (test drivers injecting
 // traffic). Unregistered-sender creation is only legal between rounds.
 func (n *Network) senderCtxFor(from ids.ProcessID) *senderCtx {
-	if c, ok := n.ctx[from]; ok {
-		return c
+	if s, ok := n.slots[from]; ok {
+		if s >= 0 {
+			return n.ctxs[s]
+		}
+		return n.extern[-s-1]
 	}
-	return n.newSenderCtx(from)
+	c := n.newSenderCtx(from)
+	n.slots[from] = -int32(len(n.extern)) - 1
+	n.extern = append(n.extern, c)
+	return c
 }
+
+// Port is one sender's handle on the network. Sending through it is
+// Network.Send without the per-send lookup of the sender's id; a Port
+// taken before its id became a node stays valid after.
+type Port struct {
+	net *Network
+	ctx *senderCtx
+}
+
+// Port returns id's sender handle. Creating one for an id the kernel
+// has not seen is only legal between rounds.
+func (n *Network) Port(id ids.ProcessID) Port { return Port{net: n, ctx: n.senderCtxFor(id)} }
+
+// Send is Network.Send from the port's id.
+func (p Port) Send(to ids.ProcessID, msg any) { p.net.send(p.ctx, to, msg) }
 
 // Send enqueues a message for delivery next round. Loss is decided at
 // send time: the channel may drop it (1-PSucc, from the sender's loss
@@ -327,13 +410,16 @@ func (n *Network) senderCtxFor(from ids.ProcessID) *senderCtx {
 // During a round phase, Send buffers into the sender's outbox and the
 // caller must pass the handling node's own id as from. Between rounds,
 // Send resolves immediately into the queue.
-func (n *Network) Send(from, to ids.ProcessID, msg any) {
-	c := n.senderCtxFor(from)
+func (n *Network) Send(from, to ids.ProcessID, msg any) { n.send(n.senderCtxFor(from), to, msg) }
+
+func (n *Network) send(c *senderCtx, to ids.ProcessID, msg any) {
+	from := c.id
 	c.seq++
-	env := Envelope{From: from, To: to, Seq: c.seq, Msg: msg}
+	slot := n.nodeSlot(to)
+	env := Envelope{From: from, To: to, Seq: c.seq, Msg: msg, from: c.slot, to: slot}
 	dropped := false
 	switch {
-	case n.down[to]:
+	case slot >= 0 && n.down[slot]:
 		dropped = true
 	case n.pairDown != nil && n.pairDown(from, to):
 		dropped = true
@@ -391,8 +477,8 @@ func (n *Network) workers() int {
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
-	if p > len(n.order) {
-		p = len(n.order)
+	if p > len(n.nodes) {
+		p = len(n.nodes)
 	}
 	if p < 1 {
 		p = 1
@@ -424,24 +510,65 @@ func compareOutbox(a, b pendingSend) int {
 	return cmp.Compare(a.env.Seq, b.env.Seq)
 }
 
+// sortSenders restores senders to ascending id order and records each
+// node's rank in it.
+func (n *Network) sortSenders() {
+	slices.SortFunc(n.senders, func(a, b *senderCtx) int {
+		return strings.Compare(string(a.id), string(b.id))
+	})
+	for i, c := range n.senders {
+		if c.slot >= 0 {
+			n.rank[c.slot] = uint32(i)
+		}
+	}
+	n.sendersDirty = false
+}
+
+// sortOutbox orders c's outbox by (To, Seq) without comparing strings.
+// Each send's key is its target's rank above its position in the
+// outbox; positions ascend with Seq, so sorting the keys sorts by
+// (To, Seq), and the outbox is permuted through the shard's scratch. An
+// outbox holding a send to a non-node has no rank for it and falls back
+// to compareOutbox.
+func (n *Network) sortOutbox(c *senderCtx, sc *shardScratch) {
+	keys := sc.keys[:0]
+	for i := range c.out {
+		to := c.out[i].env.to
+		if to < 0 {
+			slices.SortFunc(c.out, compareOutbox)
+			return
+		}
+		keys = append(keys, uint64(n.rank[to])<<32|uint64(i))
+	}
+	sc.keys = keys
+	if slices.IsSorted(keys) {
+		return
+	}
+	slices.Sort(keys)
+	outs := append(sc.outs[:0], c.out...)
+	for i, k := range keys {
+		c.out[i] = outs[uint32(k)]
+	}
+	clear(outs) // drop Msg references, as the merge does for the outbox
+	sc.outs = outs[:0]
+}
+
 // Step runs one synchronous round: deliver everything queued (sends
 // performed during delivery land in the following round), then tick
 // nodes if TickNodes is set. The delivery/tick phase runs across
-// Workers shards concurrently; each shard then sorts its own nodes'
-// outboxes by (To, Seq) while still parallel, and the serial tail
-// merely concatenates senders in ascending-From order — reproducing
-// the exact canonical (From, To, Seq) order of a global sort without
-// one. All round buffers (shard partitions, outboxes, the queue) are
-// recycled, so steady-state rounds allocate nothing. It returns the
-// number of messages delivered.
+// Workers shards of contiguous node slots concurrently; each shard then
+// sorts its own nodes' outboxes by (To, Seq) — by target rank and
+// position, see sortOutbox — while still parallel, and the serial tail
+// merely concatenates senders in ascending-From order, reproducing the
+// exact canonical (From, To, Seq) order of a global sort without one.
+// All round buffers (shard partitions, sort scratch, outboxes, the
+// queue) are recycled, so steady-state rounds allocate nothing. It
+// returns the number of messages delivered.
 func (n *Network) Step() int {
 	n.round++
 	p := n.workers()
 	if n.sendersDirty {
-		slices.SortFunc(n.senders, func(a, b *senderCtx) int {
-			return strings.Compare(string(a.id), string(b.id))
-		})
-		n.sendersDirty = false
+		n.sortSenders()
 	}
 
 	// Double-buffer the delivery queue: this round's batch becomes the
@@ -468,18 +595,22 @@ func (n *Network) Step() int {
 	// order within each shard, into the recycled partition buffers.
 	if cap(n.perShard) < p {
 		n.perShard = make([][]Envelope, p)
+		n.scratch = make([]shardScratch, p)
 	}
 	perShard := n.perShard[:p]
 	for s := range perShard {
 		perShard[s] = perShard[s][:0]
 	}
-	block := shardBlock(len(n.order), p)
+	block := shardBlock(len(n.nodes), p)
 	for _, env := range batch {
-		idx, ok := n.index[env.To]
-		if !ok {
-			continue // unknown target: silently dropped
+		if env.to < 0 {
+			// The target was no node at send time; it may have joined
+			// since.
+			if env.to = n.nodeSlot(env.To); env.to < 0 {
+				continue // unknown target: silently dropped
+			}
 		}
-		s := shardOf(idx, block)
+		s := shardOf(int(env.to), block)
 		perShard[s] = append(perShard[s], env)
 	}
 	n.perShard = perShard
@@ -496,22 +627,19 @@ func (n *Network) Step() int {
 
 	n.stepping = true
 	runShard := func(s int) {
-		lo := s * block
-		hi := lo + block
-		if hi > len(n.order) {
-			hi = len(n.order)
-		}
+		lo := min(s*block, len(n.nodes))
+		hi := min(lo+block, len(n.nodes))
 		for _, env := range perShard[s] {
-			if n.down[env.To] {
+			if n.down[env.to] {
 				continue
 			}
-			n.nodes[env.To].HandleMessage(env.Msg)
+			n.nodes[env.to].HandleMessage(env.Msg)
 			delivered[s]++
 		}
 		if n.TickNodes {
 			for i := lo; i < hi; i++ {
-				if id := n.order[i]; !n.down[id] {
-					n.nodes[id].Tick()
+				if !n.down[i] {
+					n.nodes[i].Tick()
 				}
 			}
 		}
@@ -519,9 +647,10 @@ func (n *Network) Step() int {
 		// busy: each sender ctx is owned by exactly one shard, so the
 		// per-sender sorts need no coordination and the serial merge
 		// below degenerates to a concatenation.
-		for i := lo; i < hi; i++ {
-			if c := n.ctx[n.order[i]]; len(c.out) > 1 {
-				slices.SortFunc(c.out, compareOutbox)
+		sc := &n.scratch[s]
+		for _, c := range n.ctxs[lo:hi] {
+			if len(c.out) > 1 {
+				n.sortOutbox(c, sc)
 			}
 		}
 	}
