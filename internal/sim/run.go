@@ -293,8 +293,10 @@ func (r *Runner) onSend(env simnet.Envelope, dropped bool) {
 	if !ok {
 		return
 	}
+	// Every sender and target is a process: the Runner's processes only
+	// know each other's ids.
 	c := &r.counts
-	src, dst := r.groupAt(env.FromIndex()), r.groupAt(env.ToIndex())
+	src, dst := r.envs[env.FromIndex()].group, r.envs[env.ToIndex()].group
 	switch {
 	case m.Type == core.MsgEvent:
 		if src == dst {
@@ -312,22 +314,11 @@ func (r *Runner) onSend(env simnet.Envelope, dropped bool) {
 	}
 }
 
-// groupAt returns the group index of a node slot, or the tally's
-// no-group index for a slot of -1 (an id that is no process).
-func (r *Runner) groupAt(slot int) int {
-	if slot < 0 {
-		return len(r.cfg.Groups)
-	}
-	return r.envs[slot].group
-}
-
 // tally holds the Runner's counts in flat arrays, the way scale.Sink
 // does: per kind and group, and per source and destination group for
-// inter-group sends. Index len(Config.Groups) stands for ids that are
-// no process, whose registry topic is "". fold moves the counts into a
-// registry.
+// inter-group sends. fold moves the counts into the registry.
 type tally struct {
-	width  int                             // groups + 1
+	width  int                             // number of groups
 	byKind [metrics.RecoverMsg + 1][]int64 // kind -> group -> count
 	inter  []int64                         // src*width + dst -> count
 }
@@ -339,7 +330,7 @@ var tallyKinds = [...]metrics.Kind{
 }
 
 func newTally(groups int) tally {
-	t := tally{width: groups + 1, inter: make([]int64, (groups+1)*(groups+1))}
+	t := tally{width: groups, inter: make([]int64, groups*groups)}
 	for _, k := range tallyKinds {
 		t.byKind[k] = make([]int64, t.width)
 	}
@@ -351,23 +342,18 @@ func newTally(groups int) tally {
 // counted into it directly.
 func (r *Runner) fold() {
 	c := &r.counts
-	topicAt := func(g int) topic.Topic {
-		if g < len(r.cfg.Groups) {
-			return r.cfg.Groups[g].Topic
-		}
-		return ""
-	}
+	groups := r.cfg.Groups
 	for _, k := range tallyKinds {
 		for g, v := range c.byKind[k] {
 			if v != 0 {
-				r.reg.Add(metrics.Key{Kind: k, Topic: topicAt(g)}, v)
+				r.reg.Add(metrics.Key{Kind: k, Topic: groups[g].Topic}, v)
 				c.byKind[k][g] = 0
 			}
 		}
 	}
 	for i, v := range c.inter {
 		if v != 0 {
-			r.reg.AddInter(topicAt(i/c.width), topicAt(i%c.width), v)
+			r.reg.AddInter(groups[i/c.width].Topic, groups[i%c.width].Topic, v)
 			c.inter[i] = 0
 		}
 	}

@@ -450,16 +450,16 @@ func TestFigureSweepsSmall(t *testing.T) {
 	}
 }
 
-// TestRunnerTrackingSteadyAcrossRuns checks the memory contract for a
-// Runner reused across Runs: it keeps no per-publication state, so
-// once core's duplicate windows are full its live heap stops growing.
+// TestRunnerTrackingSteadyAcrossRuns checks a Runner reused across
+// Runs. Each Run's reach must match its own delivery count — nothing
+// carried over from an earlier Run's publication — and the Runner keeps
+// no per-publication state, so once core's duplicate windows are full
+// its live heap stops growing.
 func TestRunnerTrackingSteadyAcrossRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("500 publications")
-	}
 	cfg := PaperConfig(1.0, 3)
 	cfg.Groups[1].Size, cfg.Groups[2].Size = 40, 200
 	cfg.Params.SeenCap = 32 // windows full after 48 publications
+	cfg.PSucc = 0.3         // lossy enough that reach varies per Run
 	cfg.Workers = 1
 	r, err := NewRunner(cfg)
 	if err != nil {
@@ -472,9 +472,27 @@ func TestRunnerTrackingSteadyAcrossRuns(t *testing.T) {
 		return m.HeapAlloc
 	}
 	var at100 uint64
+	partial := 0
 	for i := 1; i <= 500; i++ {
-		if _, err := r.Run(); err != nil {
+		before := make(map[topic.Topic]int64)
+		for _, g := range cfg.Groups {
+			before[g.Topic] = r.Registry().Delivered(g.Topic)
+		}
+		res, err := r.Run()
+		if err != nil {
 			t.Fatal(err)
+		}
+		for _, g := range cfg.Groups {
+			want := r.Registry().Delivered(g.Topic) - before[g.Topic]
+			if g.Topic == cfg.PublishTopic {
+				want++ // the publisher
+			}
+			if got := res.DeliveredAlive[g.Topic]; got != float64(want) {
+				t.Fatalf("Run %d, %s: reached %v, delivered %d", i, g.Topic, got, want)
+			}
+			if want < int64(g.Size) {
+				partial++
+			}
 		}
 		if i == 100 {
 			at100 = liveHeap()
@@ -482,6 +500,9 @@ func TestRunnerTrackingSteadyAcrossRuns(t *testing.T) {
 	}
 	at500 := liveHeap()
 	runtime.KeepAlive(r)
+	if partial == 0 {
+		t.Error("every Run reached every process; the reach check cannot tell Runs apart")
+	}
 	if at500 > at100 && at500-at100 >= 64<<10 {
 		t.Errorf("live heap grew by %d B between Run 100 and Run 500, want < 64 KiB", at500-at100)
 	}
