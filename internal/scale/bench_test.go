@@ -5,8 +5,8 @@ import "testing"
 // BenchmarkScaleRun benchmarks a full publication sweep at the given
 // population (paper topology, lossy channel), end to end: store build,
 // rounds, metrics streaming, result assembly.
-func benchmarkScaleRun(b *testing.B, n, workers int) {
-	cfg := testConfig(n, workers)
+func benchmarkScaleRun(b *testing.B, n int) {
+	cfg := testConfig(n, 1)
 	cfg.Publications = 1
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -16,6 +16,5 @@ func benchmarkScaleRun(b *testing.B, n, workers int) {
 	}
 }
 
-func BenchmarkScaleRun10k(b *testing.B)          { benchmarkScaleRun(b, 10_000, 1) }
-func BenchmarkScaleRun100k(b *testing.B)         { benchmarkScaleRun(b, 100_000, 1) }
-func BenchmarkScaleRun100kParallel(b *testing.B) { benchmarkScaleRun(b, 100_000, 8) }
+func BenchmarkScaleRun10k(b *testing.B)  { benchmarkScaleRun(b, 10_000) }
+func BenchmarkScaleRun100k(b *testing.B) { benchmarkScaleRun(b, 100_000) }

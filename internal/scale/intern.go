@@ -1,5 +1,5 @@
 // Package scale is the million-process simulation backend: a
-// struct-of-arrays process-state store and a sharded epidemic round
+// struct-of-arrays process-state store and a serial epidemic round
 // kernel that together make a 1e6-process figure sweep finish on one
 // machine within a small, published memory-per-process budget.
 //
@@ -23,11 +23,11 @@
 //   - metrics stream through a Sink into metrics.Registry every round
 //     instead of accumulating per process.
 //
-// Determinism contract (same as internal/simnet): every random decision
-// is a pure hash of (seed, event, round, process), per-round cross-shard
-// effects commute (bitset OR, counter sums), and shard slabs are
-// word-aligned so no two workers touch the same word. Results are
-// therefore byte-identical for every Workers value.
+// Determinism contract: every random decision is a pure hash of (seed,
+// event, round, process), and the kernel runs one round at a time on one
+// goroutine, so a configuration's results are byte-identical on every
+// run. Kernels share no mutable state, so a sweep runs many of them in
+// parallel; Config.Workers is ignored.
 package scale
 
 // Table interns strings of type K as dense uint32 ids, so hot-path

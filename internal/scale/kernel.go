@@ -4,9 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"damulticast/internal/core"
 	"damulticast/internal/metrics"
@@ -42,8 +39,8 @@ type Config struct {
 	MaxRounds int
 	// Seed drives all randomness.
 	Seed int64
-	// Workers is the shard count: 0 = GOMAXPROCS, 1 = sequential.
-	// Results are byte-identical for every value.
+	// Workers is ignored: the kernel is serial. Sweeps gain their
+	// parallelism by running independent kernels side by side.
 	Workers int
 }
 
@@ -113,8 +110,8 @@ type Result struct {
 	Rounds int
 	// StateBytes is the kernel's self-accounted per-run state: the
 	// struct-of-arrays store plus the three round bitsets. A pure
-	// function of the topology — never of Workers or the allocator — so
-	// figure series derived from it are byte-reproducible.
+	// function of the topology — never of the allocator — so figure
+	// series derived from it are byte-reproducible.
 	StateBytes int64
 }
 
@@ -126,19 +123,9 @@ func (r *Result) BytesPerProcess(n int) float64 {
 	return float64(r.StateBytes) / float64(n)
 }
 
-// kernelShard is one worker's private round scratch. landed counts
-// sends the channel did not drop (the quiescence signal). The pad
-// keeps shard counters off shared cache lines.
-type kernelShard struct {
-	scratch []uint16 // partial Fisher-Yates space, maxStride entries
-	landed  int64
-	_       [64]byte
-}
-
-// Kernel is the sharded million-process round engine. State per
-// process: 4·viewStride bytes of view, 4·superStride bytes of
-// supertopic table, and 3 bits across the round bitsets. Everything
-// else is per-group or per-worker.
+// Kernel is the million-process round engine. State per process:
+// 4·viewStride bytes of view, 4·superStride bytes of supertopic table,
+// and 3 bits across the round bitsets. Everything else is per group.
 type Kernel struct {
 	cfg   Config
 	store *Store
@@ -147,62 +134,38 @@ type Kernel struct {
 
 	// has marks processes that delivered the current event; inbox holds
 	// arrivals for the round being processed; next collects sends for
-	// the round after (written with atomic OR — commutative, so shard
-	// interleaving cannot change the result).
+	// the round after.
 	has, inbox, next []uint64
 
-	shards     []kernelShard
-	p          int // effective worker count
-	blockWords int // bitset words per shard slab (word-aligned ownership)
+	scratch []uint16 // partial Fisher-Yates space, maxStride entries
+	landed  int64    // sends the channel did not drop this phase
 
 	seedPub, seedRound int64
 }
 
 // New validates cfg and builds the kernel: the struct-of-arrays store,
-// the metrics sink, and the word-aligned shard slabs.
+// the metrics sink and the round bitsets.
 func New(cfg Config) (*Kernel, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	p := cfg.Workers
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	st, err := NewStore(cfg.Groups, cfg.Params, xrand.SeedFor(cfg.Seed, "scale:store"), p)
+	st, err := NewStore(cfg.Groups, cfg.Params, xrand.SeedFor(cfg.Seed, "scale:store"), 1)
 	if err != nil {
 		return nil, err
 	}
-	n := st.Len()
-	words := (n + 63) / 64
-	if p > words {
-		p = words
-	}
-	if p < 1 {
-		p = 1
-	}
-	k := &Kernel{
+	words := (st.Len() + 63) / 64
+	return &Kernel{
 		cfg:       cfg,
 		store:     st,
-		sink:      NewSink(st, p),
+		sink:      NewSink(st),
 		reg:       metrics.NewRegistry(),
 		has:       make([]uint64, words),
 		inbox:     make([]uint64, words),
 		next:      make([]uint64, words),
-		shards:    make([]kernelShard, p),
-		p:         p,
+		scratch:   make([]uint16, st.maxStride),
 		seedPub:   xrand.SeedFor(cfg.Seed, "scale:pub"),
 		seedRound: xrand.SeedFor(cfg.Seed, "scale:round"),
-	}
-	// Word-aligned slabs: each worker owns a contiguous range of bitset
-	// words (hence of processes), so has-bitset writes never share a
-	// word across shards and each worker walks a contiguous slice of
-	// the state arrays — the same NUMA-friendly ownership simnet's
-	// shards use.
-	k.blockWords = (words + p - 1) / p
-	for i := range k.shards {
-		k.shards[i].scratch = make([]uint16, st.maxStride)
-	}
-	return k, nil
+	}, nil
 }
 
 // Store exposes the kernel's state store (for tests and accounting).
@@ -212,9 +175,9 @@ func (k *Kernel) Store() *Store { return k.store }
 func (k *Kernel) Registry() *metrics.Registry { return k.reg }
 
 // StateBytes self-accounts the run state: store arrays plus the three
-// round bitsets. Per-worker scratch (O(workers·stride)) and sink
-// counters (O(workers·groups)) are deliberately excluded — they depend
-// on Workers, and the published budget is per-process state.
+// round bitsets. The Fisher-Yates scratch (O(stride)) and the sink
+// counters (O(groups)) are deliberately excluded: the published budget
+// is per-process state.
 func (k *Kernel) StateBytes() int64 {
 	return k.store.AccountedBytes() + int64(3*len(k.has))*8
 }
@@ -251,22 +214,16 @@ func (k *Kernel) Run() (*Result, error) {
 
 		// Publish: a deterministic pseudo-random member of the publish
 		// group delivers trivially and disseminates into the first
-		// round's inbox. Its sends land in inbox directly (serial, no
-		// atomics needed) by forwarding into next and swapping.
+		// round's inbox.
 		pg := &k.store.groups[pgi]
 		pub := pg.start + sm64ValueIntn(mix2(uint64(k.seedPub), tagPub, uint64(e)), pg.size)
 		setBit(k.has, pub)
-		k.forward(pub, int(pgi), e, 0, &k.shards[0], k.sink.shard(0))
-		k.inbox, k.next = k.next, k.inbox
-		pending := k.harvestLanded()
-		k.sink.FlushRound(k.reg)
+		k.forward(pub, int(pgi), e, 0)
+		pending := k.endRound()
 
 		for r := 1; r <= maxRounds && pending > 0; r++ {
 			k.stepRound(e, r)
-			k.inbox, k.next = k.next, k.inbox
-			clear(k.next)
-			pending = k.harvestLanded()
-			k.sink.FlushRound(k.reg)
+			pending = k.endRound()
 			totalRounds++
 		}
 
@@ -295,39 +252,13 @@ func (k *Kernel) Run() (*Result, error) {
 	return res, nil
 }
 
-// stepRound runs one parallel dissemination round: every shard scans
-// its own slab of inbox for first-time receipts, marks them in has
-// (own-slab words only — no races by layout), counts the delivery, and
-// forwards into next (cross-slab, atomic OR — commutative, so the
-// result is identical for any shard interleaving or count).
+// stepRound runs one dissemination round: it scans inbox for
+// first-time receipts, marks them in has, counts the delivery, and
+// forwards into next.
 func (k *Kernel) stepRound(e, r int) {
-	if k.p == 1 {
-		k.runSlab(0, e, r)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(k.p)
-	for s := 0; s < k.p; s++ {
-		go func(s int) {
-			defer wg.Done()
-			k.runSlab(s, e, r)
-		}(s)
-	}
-	wg.Wait()
-}
-
-// runSlab processes shard s's word range for round r of event e.
-func (k *Kernel) runSlab(s, e, r int) {
-	ks := &k.shards[s]
-	ss := k.sink.shard(s)
-	lo := s * k.blockWords
-	hi := lo + k.blockWords
-	if hi > len(k.inbox) {
-		hi = len(k.inbox)
-	}
-	gi := -1
-	for w := lo; w < hi; w++ {
-		fresh := k.inbox[w] &^ k.has[w]
+	gi := 0
+	for w, in := range k.inbox {
+		fresh := in &^ k.has[w]
 		if fresh == 0 {
 			continue
 		}
@@ -336,16 +267,25 @@ func (k *Kernel) runSlab(s, e, r int) {
 		for fresh != 0 {
 			i := base + uint32(bits.TrailingZeros64(fresh))
 			fresh &= fresh - 1
-			if gi < 0 {
-				gi = k.store.groupOf(i)
-			}
 			for i >= k.store.groups[gi].start+k.store.groups[gi].size {
 				gi++
 			}
-			ss.delivered[gi]++
-			k.forward(i, gi, e, r, ks, ss)
+			k.sink.delivered[gi]++
+			k.forward(i, gi, e, r)
 		}
 	}
+}
+
+// endRound closes a phase: next becomes the coming round's inbox, the
+// sink's counts fold into the registry, and the number of sends that
+// survived the channel (the next round's pending work) is returned.
+func (k *Kernel) endRound() int64 {
+	k.inbox, k.next = k.next, k.inbox
+	clear(k.next)
+	k.sink.FlushRound(k.reg)
+	landed := k.landed
+	k.landed = 0
+	return landed
 }
 
 // forward disseminates the event from process i (paper Fig. 7): with
@@ -353,9 +293,8 @@ func (k *Kernel) runSlab(s, e, r int) {
 // supertopic-table entry with probability pA; then gossip to fanout
 // distinct view entries. Loss coins draw from the same per-(event,
 // round, process) stream, so every decision is pure and
-// order-independent. Sends OR bits into k.next — atomically, because
-// targets may live in any shard's slab.
-func (k *Kernel) forward(i uint32, gi, e, r int, ks *kernelShard, ss *sinkShard) {
+// order-independent. Sends set bits in k.next.
+func (k *Kernel) forward(i uint32, gi, e, r int) {
 	g := &k.store.groups[gi]
 	rng := sm64(mix3(uint64(k.seedRound), tagRound, uint64(e)<<32|uint64(uint32(r)), uint64(i)))
 	m := uint64(i - g.start)
@@ -366,12 +305,12 @@ func (k *Kernel) forward(i uint32, gi, e, r int, ks *kernelShard, ss *sinkShard)
 			if rng.float() >= g.pA {
 				continue
 			}
-			ss.inter[gi]++
+			k.sink.inter[gi]++
 			if k.cfg.PSucc >= 1 || rng.float() < k.cfg.PSucc {
-				orBit(k.next, t)
-				ks.landed++
+				setBit(k.next, t)
+				k.landed++
 			} else {
-				ss.dropped[gi]++
+				k.sink.dropped[gi]++
 			}
 		}
 	}
@@ -384,44 +323,32 @@ func (k *Kernel) forward(i uint32, gi, e, r int, ks *kernelShard, ss *sinkShard)
 	if g.fanout >= stride {
 		// Degenerate fanout: the whole view.
 		for _, t := range view {
-			k.sendIntra(t, gi, &rng, ks, ss)
+			k.sendIntra(t, gi, &rng)
 		}
 		return
 	}
-	// Partial Fisher-Yates over the shard's scratch picks fanout
-	// distinct view slots.
-	sc := ks.scratch[:stride]
+	// Partial Fisher-Yates over the scratch picks fanout distinct view
+	// slots.
+	sc := k.scratch[:stride]
 	for j := range sc {
 		sc[j] = uint16(j)
 	}
 	for j := uint32(0); j < g.fanout; j++ {
 		t := j + rng.intn(stride-j)
 		sc[j], sc[t] = sc[t], sc[j]
-		k.sendIntra(view[sc[j]], gi, &rng, ks, ss)
+		k.sendIntra(view[sc[j]], gi, &rng)
 	}
 }
 
 // sendIntra counts and delivers (or drops) one intra-group send.
-func (k *Kernel) sendIntra(t uint32, gi int, rng *sm64, ks *kernelShard, ss *sinkShard) {
-	ss.intra[gi]++
+func (k *Kernel) sendIntra(t uint32, gi int, rng *sm64) {
+	k.sink.intra[gi]++
 	if k.cfg.PSucc >= 1 || rng.float() < k.cfg.PSucc {
-		orBit(k.next, t)
-		ks.landed++
+		setBit(k.next, t)
+		k.landed++
 	} else {
-		ss.dropped[gi]++
+		k.sink.dropped[gi]++
 	}
-}
-
-// harvestLanded sums and resets the per-shard landed counters: the
-// number of sends that survived the channel this phase, i.e. next
-// round's pending work.
-func (k *Kernel) harvestLanded() int64 {
-	var total int64
-	for s := range k.shards {
-		total += k.shards[s].landed
-		k.shards[s].landed = 0
-	}
-	return total
 }
 
 // sm64ValueIntn draws one uniform [0, n) value from a fresh stream key
@@ -431,12 +358,8 @@ func sm64ValueIntn(key uint64, n uint32) uint32 {
 	return s.intn(n)
 }
 
-// setBit sets bit i (serial contexts).
+// setBit sets bit i.
 func setBit(bs []uint64, i uint32) { bs[i/64] |= 1 << (i % 64) }
-
-// orBit sets bit i with an atomic OR (parallel round phase; OR
-// commutes, so the final bitset is independent of scheduling).
-func orBit(bs []uint64, i uint32) { atomic.OrUint64(&bs[i/64], 1<<(i%64)) }
 
 // popcountRange counts set bits in [from, to).
 func popcountRange(bs []uint64, from, to uint32) int {

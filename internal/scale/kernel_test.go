@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"damulticast/internal/core"
@@ -111,19 +112,32 @@ func TestStoreTablesDistinctAndInRange(t *testing.T) {
 	}
 }
 
+// TestStorePopulateWorkerInvariance: stores built concurrently are
+// identical to a serial build, so the store shares nothing mutable
+// between builds.
 func TestStorePopulateWorkerInvariance(t *testing.T) {
 	cfg := testConfig(2000, 1)
 	base, err := NewStore(cfg.Groups, cfg.Params, 11, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{2, 3, 8} {
-		st, err := NewStore(cfg.Groups, cfg.Params, 11, w)
-		if err != nil {
-			t.Fatal(err)
+	stores := make([]*Store, 4)
+	errs := make([]error, len(stores))
+	var wg sync.WaitGroup
+	for i := range stores {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			stores[i], errs[i] = NewStore(cfg.Groups, cfg.Params, 11, 1)
+		}(i)
+	}
+	wg.Wait()
+	for i, st := range stores {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
 		}
 		if !reflect.DeepEqual(base.view, st.view) || !reflect.DeepEqual(base.super, st.super) {
-			t.Fatalf("store arrays differ between 1 and %d populate workers", w)
+			t.Fatalf("store %d built concurrently differs from the serial build", i)
 		}
 	}
 }
@@ -142,39 +156,60 @@ func TestProcName(t *testing.T) {
 	}
 }
 
-// TestWorkerCountInvariance is the kernel's core determinism contract:
-// identical results — reliability, every metrics row, round count, and
-// the self-accounted StateBytes — for any worker count.
+// TestWorkerCountInvariance is the kernel's determinism contract at
+// the level that runs in parallel: two kernels with one config, run
+// concurrently, each equal a sequential run in reliability, every
+// metrics row, round count and the self-accounted StateBytes.
 func TestWorkerCountInvariance(t *testing.T) {
-	run := func(workers int) (*Result, string) {
-		k, err := New(testConfig(3000, workers))
+	cfg := testConfig(3000, 1)
+	run := func() (*Result, string, error) {
+		k, err := New(cfg)
 		if err != nil {
-			t.Fatal(err)
+			return nil, "", err
 		}
 		res, err := k.Run()
 		if err != nil {
-			t.Fatal(err)
+			return nil, "", err
 		}
-		return res, k.Registry().CSV()
+		return res, k.Registry().CSV(), nil
 	}
-	base, baseCSV := run(1)
-	for _, w := range []int{2, 4, 8} {
-		res, csv := run(w)
-		if !reflect.DeepEqual(base, res) {
-			t.Fatalf("results differ between 1 and %d workers:\n%+v\nvs\n%+v", w, base, res)
+	base, baseCSV, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		wg   sync.WaitGroup
+		res  [2]*Result
+		csv  [2]string
+		errs [2]error
+	)
+	for i := range res {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res[i], csv[i], errs[i] = run()
+		}(i)
+	}
+	wg.Wait()
+	for i := range res {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
 		}
-		if baseCSV != csv {
-			t.Fatalf("metrics CSV differs between 1 and %d workers", w)
+		if !reflect.DeepEqual(base, res[i]) {
+			t.Fatalf("concurrent run %d differs from the sequential run:\n%+v\nvs\n%+v", i, base, res[i])
+		}
+		if baseCSV != csv[i] {
+			t.Fatalf("concurrent run %d metrics CSV differs from the sequential run", i)
 		}
 	}
 }
 
 func TestRepeatRunDeterminism(t *testing.T) {
-	a, err := Run(testConfig(2000, 4))
+	a, err := Run(testConfig(2000, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(testConfig(2000, 4))
+	b, err := Run(testConfig(2000, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +222,7 @@ func TestRepeatRunDeterminism(t *testing.T) {
 // lossless channel and the paper's fanout, the publish group must be
 // fully covered well within MaxRounds.
 func TestLosslessPublishGroupReliability(t *testing.T) {
-	cfg := testConfig(1000, 2)
+	cfg := testConfig(1000, 1)
 	cfg.PSucc = 1.0
 	res, err := Run(cfg)
 	if err != nil {
@@ -247,12 +282,11 @@ func TestSinkFlushRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := NewSink(st, 2)
-	sink.shard(0).intra[2] = 5
-	sink.shard(1).intra[2] = 7
-	sink.shard(0).inter[2] = 2
-	sink.shard(1).delivered[2] = 9
-	sink.shard(0).dropped[1] = 1
+	sink := NewSink(st)
+	sink.intra[2] = 12
+	sink.inter[2] = 2
+	sink.delivered[2] = 9
+	sink.dropped[1] = 1
 
 	reg := metrics.NewRegistry()
 	sink.FlushRound(reg)
@@ -270,19 +304,22 @@ func TestSinkFlushRound(t *testing.T) {
 	if got := reg.Get(metrics.Key{Kind: metrics.Dropped, Topic: st.GroupTopic(1)}); got != 1 {
 		t.Fatalf("dropped = %d, want 1", got)
 	}
-	for sh := 0; sh < 2; sh++ {
-		for gi := 0; gi < st.Groups(); gi++ {
-			b := sink.shard(sh)
-			if b.intra[gi]|b.inter[gi]|b.delivered[gi]|b.dropped[gi] != 0 {
-				t.Fatalf("shard %d group %d not zeroed after flush", sh, gi)
-			}
+	for gi := 0; gi < st.Groups(); gi++ {
+		if sink.intra[gi]|sink.inter[gi]|sink.delivered[gi]|sink.dropped[gi] != 0 {
+			t.Fatalf("group %d not zeroed after flush", gi)
 		}
 	}
-	// A second flush of zeroed shards must not move the registry.
+	// A second round's counts add to the first's.
+	sink.intra[2] = 3
+	sink.FlushRound(reg)
+	if got := reg.Get(metrics.Key{Kind: metrics.IntraGroup, Topic: t2}); got != 15 {
+		t.Fatalf("intra after second flush = %d, want 15", got)
+	}
+	// A flush of zeroed counters must not move the registry.
 	before := reg.CSV()
 	sink.FlushRound(reg)
 	if reg.CSV() != before {
-		t.Fatal("flush of zeroed shards changed the registry")
+		t.Fatal("flush of zeroed counters changed the registry")
 	}
 }
 

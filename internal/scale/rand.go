@@ -5,8 +5,8 @@ package scale
 // allocation and ~5KB of generator state each — more than the entire
 // per-process budget here. Instead every decision sequence is a
 // splitmix64 stream keyed by a pure hash of (seed, role, event, round,
-// process): stateless across rounds, allocation-free, identical on any
-// shard interleaving, and safe from any goroutine. This is the same
+// process): stateless across rounds, allocation-free, and independent
+// of the order in which processes are visited. This is the same
 // move simnet made for pair-failure coins (xrand.HashCoin), applied to
 // all kernel randomness.
 

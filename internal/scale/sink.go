@@ -8,38 +8,31 @@ import (
 // Sink streams the kernel's per-round counts into a metrics.Registry.
 // The full simulation stack retains counters per process and harvests
 // them at collection time; at a million processes that retention is
-// exactly the memory the scale kernel exists to avoid. Instead each
-// worker shard accumulates four flat per-group counters (intra sends,
-// inter sends, first-time deliveries, channel drops) during the round
-// phase — contention-free, since a shard only touches its own arrays —
-// and FlushRound folds them into the shared registry at the serial
-// round boundary, zeroing them for the next round. Registry totals are
-// sums of per-round sums, so the streamed result equals the retained
-// one while the sink's footprint stays O(workers × groups).
+// exactly the memory the scale kernel exists to avoid. Instead the
+// kernel accumulates four flat per-group counters (intra sends, inter
+// sends, first-time deliveries, channel drops) during the round, and
+// FlushRound folds them into the registry at the round boundary,
+// zeroing them for the next round. Registry totals are sums of
+// per-round sums, so the streamed result equals the retained one while
+// the sink's footprint stays O(groups).
 type Sink struct {
 	topics  []topic.Topic // group index -> topic
 	superOf []topic.Topic // group index -> supergroup topic ("" at the root)
-	shards  []sinkShard
-}
 
-// sinkShard is one worker's counter block. The trailing pad keeps
-// neighboring shards' hot counters off a shared cache line.
-type sinkShard struct {
+	// The round's counters, indexed by group.
 	intra, inter, delivered, dropped []int64
-	_                                [64]byte
 }
 
-// NewSink sizes a sink for the store's groups and the given worker
-// count (minimum 1).
-func NewSink(st *Store, workers int) *Sink {
-	if workers < 1 {
-		workers = 1
-	}
+// NewSink sizes a sink for the store's groups.
+func NewSink(st *Store) *Sink {
 	ng := st.Groups()
 	s := &Sink{
-		topics:  make([]topic.Topic, ng),
-		superOf: make([]topic.Topic, ng),
-		shards:  make([]sinkShard, workers),
+		topics:    make([]topic.Topic, ng),
+		superOf:   make([]topic.Topic, ng),
+		intra:     make([]int64, ng),
+		inter:     make([]int64, ng),
+		delivered: make([]int64, ng),
+		dropped:   make([]int64, ng),
 	}
 	for gi := 0; gi < ng; gi++ {
 		s.topics[gi] = st.GroupTopic(gi)
@@ -47,45 +40,28 @@ func NewSink(st *Store, workers int) *Sink {
 			s.superOf[gi] = st.GroupTopic(int(sg))
 		}
 	}
-	for i := range s.shards {
-		s.shards[i].intra = make([]int64, ng)
-		s.shards[i].inter = make([]int64, ng)
-		s.shards[i].delivered = make([]int64, ng)
-		s.shards[i].dropped = make([]int64, ng)
-	}
 	return s
 }
 
-// Shard returns worker sh's private counter block accessors. The
-// returned slices are indexed by group.
-func (s *Sink) shard(sh int) *sinkShard { return &s.shards[sh] }
-
-// FlushRound folds every shard's counters into reg and zeroes them.
-// Called serially at the round boundary; the fold order (groups
-// ascending, kinds fixed) is canonical, and registry totals are
-// order-independent sums anyway.
+// FlushRound folds the round's counters into reg and zeroes them. The
+// fold order (groups ascending, kinds fixed) is canonical.
 func (s *Sink) FlushRound(reg *metrics.Registry) {
 	for gi, t := range s.topics {
-		var intra, inter, delivered, dropped int64
-		for sh := range s.shards {
-			b := &s.shards[sh]
-			intra += b.intra[gi]
-			inter += b.inter[gi]
-			delivered += b.delivered[gi]
-			dropped += b.dropped[gi]
-			b.intra[gi], b.inter[gi], b.delivered[gi], b.dropped[gi] = 0, 0, 0, 0
+		if n := s.intra[gi]; n > 0 {
+			reg.AddIntra(t, n)
 		}
-		if intra > 0 {
-			reg.AddIntra(t, intra)
+		if n := s.inter[gi]; n > 0 {
+			reg.AddInter(t, s.superOf[gi], n)
 		}
-		if inter > 0 {
-			reg.AddInter(t, s.superOf[gi], inter)
+		if n := s.delivered[gi]; n > 0 {
+			reg.AddDelivered(t, n)
 		}
-		if delivered > 0 {
-			reg.AddDelivered(t, delivered)
-		}
-		if dropped > 0 {
-			reg.AddDropped(t, dropped)
+		if n := s.dropped[gi]; n > 0 {
+			reg.AddDropped(t, n)
 		}
 	}
+	clear(s.intra)
+	clear(s.inter)
+	clear(s.delivered)
+	clear(s.dropped)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"unsafe"
 
 	"damulticast/internal/core"
@@ -35,18 +34,18 @@ type group struct {
 // and slice of the full engine collapsed into two flat uint32 arrays
 // plus per-group metadata. Building it is the only place randomness
 // touches membership; afterwards the store is immutable and shared
-// read-only by all kernel shards.
+// read-only by the kernel.
 type Store struct {
 	topics    *Table[topic.Topic]
 	groups    []group
 	view      []uint32 // all membership views, group-major then member-major
 	super     []uint32 // all supertopic tables, same layout
 	n         uint32   // total processes
-	maxStride uint32   // largest viewStride (shard scratch sizing)
+	maxStride uint32   // largest viewStride (kernel scratch sizing)
 }
 
-// maxViewStride bounds a single view so the kernel's per-shard
-// Fisher-Yates scratch can index entries with uint16. (B+1)·ln(S) stays
+// maxViewStride bounds a single view so the kernel's Fisher-Yates
+// scratch can index entries with uint16. (B+1)·ln(S) stays
 // under 100 for any population that fits in memory; the bound exists to
 // make the invariant explicit, not because it is ever near.
 const maxViewStride = 1 << 16
@@ -56,9 +55,8 @@ const maxViewStride = 1 << 16
 // mates and supertopic tables with distinct random members of the
 // nearest configured supergroup (deepest topic strictly including the
 // group's), exactly like sim.NewRunner's static table initialization.
-// Population is sharded across workers (0 = serial); every member's
-// tables derive from a pure hash of (seed, member index), so the result
-// is identical for any worker count.
+// Every member's tables derive from a pure hash of (seed, member
+// index). workers is ignored: the kernel is serial.
 func NewStore(specs []GroupSpec, params core.Params, seed int64, workers int) (*Store, error) {
 	s := &Store{topics: NewTable[topic.Topic]()}
 	var viewLen, superLen uint64
@@ -126,7 +124,7 @@ func NewStore(specs []GroupSpec, params core.Params, seed int64, workers int) (*
 
 	s.view = make([]uint32, viewLen)
 	s.super = make([]uint32, superLen)
-	s.populate(seed, workers)
+	s.populate(seed)
 	return s, nil
 }
 
@@ -153,66 +151,28 @@ func (s *Store) nearestSupergroup(gi int) int {
 	return best
 }
 
-// populate fills every member's view and supertopic table, sharded
-// across workers by contiguous process-index blocks. Each member's
-// entries depend only on (seed, member index), never on the block
-// boundaries, so any worker count produces identical arrays.
-func (s *Store) populate(seed int64, workers int) {
-	n := int(s.n)
-	p := workers
-	if p <= 0 {
-		p = 1
-	}
-	if p > n {
-		p = n
-	}
-	if p < 1 {
-		p = 1
-	}
-	block := (n + p - 1) / p
-	fill := func(lo, hi int) {
-		gi := s.groupOf(uint32(lo))
-		for i := lo; i < hi; i++ {
-			pi := uint32(i)
-			for pi >= s.groups[gi].start+s.groups[gi].size {
-				gi++
-			}
-			g := &s.groups[gi]
-			m := uint64(pi - g.start)
-			if g.viewStride > 0 {
-				rng := sm64(mix2(uint64(seed), tagView, uint64(pi)))
-				fillDistinct(&rng, s.view[g.viewBase+m*uint64(g.viewStride):][:g.viewStride],
-					g.start, g.size, pi)
-			}
-			if g.superStride > 0 {
-				sg := &s.groups[g.super]
-				rng := sm64(mix2(uint64(seed), tagSuper, uint64(pi)))
-				fillDistinct(&rng, s.super[g.superBase+m*uint64(g.superStride):][:g.superStride],
-					sg.start, sg.size, pi)
-			}
+// populate fills every member's view and supertopic table. Each
+// member's entries depend only on (seed, member index).
+func (s *Store) populate(seed int64) {
+	gi := 0
+	for pi := uint32(0); pi < s.n; pi++ {
+		for pi >= s.groups[gi].start+s.groups[gi].size {
+			gi++
+		}
+		g := &s.groups[gi]
+		m := uint64(pi - g.start)
+		if g.viewStride > 0 {
+			rng := sm64(mix2(uint64(seed), tagView, uint64(pi)))
+			fillDistinct(&rng, s.view[g.viewBase+m*uint64(g.viewStride):][:g.viewStride],
+				g.start, g.size, pi)
+		}
+		if g.superStride > 0 {
+			sg := &s.groups[g.super]
+			rng := sm64(mix2(uint64(seed), tagSuper, uint64(pi)))
+			fillDistinct(&rng, s.super[g.superBase+m*uint64(g.superStride):][:g.superStride],
+				sg.start, sg.size, pi)
 		}
 	}
-	if p == 1 {
-		fill(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for sh := 0; sh < p; sh++ {
-		lo := sh * block
-		hi := lo + block
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fill(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // fillDistinct fills dst with distinct members of [start, start+size),
@@ -334,7 +294,7 @@ func (s *Store) SuperTable(pi uint32) []uint32 {
 
 // AccountedBytes is the store's self-accounted footprint: the two flat
 // arrays plus per-group metadata. Deliberately a pure function of the
-// topology (never of worker counts or allocator behavior) so figure
+// topology (never of allocator behavior) so figure
 // series built from it are byte-reproducible.
 func (s *Store) AccountedBytes() int64 {
 	return int64(len(s.view))*4 + int64(len(s.super))*4 +

@@ -6,14 +6,14 @@ import (
 )
 
 // TestBaselinesWorkerCountInvariance is the determinism contract of the
-// head-to-head figure: its CSV bytes must not depend on the sweep or
-// kernel worker counts.
+// head-to-head figure: its CSV bytes must not depend on the sweep
+// worker count (which also sets each run's simnet shard count).
 func TestBaselinesWorkerCountInvariance(t *testing.T) {
 	xs := FigureXs("baselines", 2)
 	var want string
 	for _, w := range []int{1, 2, 8} {
 		fig, _, err := GenerateFigure(context.Background(), "baselines", xs,
-			FigureOpts{RunsPerPoint: 1, SweepWorkers: w, KernelWorkers: w})
+			FigureOpts{RunsPerPoint: 1, SweepWorkers: w})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}

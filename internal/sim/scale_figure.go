@@ -60,7 +60,7 @@ func scaleSpec() figureSpec {
 		xlabel: "total processes",
 		ylabel: "fraction receiving / per-process cost",
 		grid:   pinnedGrid(scaleGridFull),
-		runPoint: func(x float64, seed int64, kernelWorkers int) (pointResult, error) {
+		runPoint: func(x float64, seed int64, _ int) (pointResult, error) {
 			n := int(x)
 			_, _, t2 := PaperTopics()
 			cfg := scale.Config{
@@ -71,7 +71,6 @@ func scaleSpec() figureSpec {
 				Publications: 1,
 				MaxRounds:    200,
 				Seed:         seed,
-				Workers:      kernelWorkers,
 			}
 			res, err := scale.Run(cfg)
 			if err != nil {

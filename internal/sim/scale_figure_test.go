@@ -48,17 +48,16 @@ func TestScaleGroupsShape(t *testing.T) {
 
 // TestSweepWorkerCountInvarianceScale extends the figure determinism
 // contract to the scale figure: CSV bytes identical for any
-// -sweepworkers and any kernel worker count.
+// -sweepworkers.
 func TestSweepWorkerCountInvarianceScale(t *testing.T) {
 	xs := FigureXs("scale", 2)
-	opts := FigureOpts{RunsPerPoint: 2, SweepWorkers: 1, KernelWorkers: 1}
+	opts := FigureOpts{RunsPerPoint: 2, SweepWorkers: 1}
 	base, _, err := GenerateFigure(context.Background(), "scale", xs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, o := range []FigureOpts{
-		{RunsPerPoint: 2, SweepWorkers: 4, KernelWorkers: 1},
-		{RunsPerPoint: 2, SweepWorkers: 1, KernelWorkers: 8},
+		{RunsPerPoint: 2, SweepWorkers: 4},
 		{RunsPerPoint: 2, SweepWorkers: 8},
 	} {
 		fig, _, err := GenerateFigure(context.Background(), "scale", xs, o)

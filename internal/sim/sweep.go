@@ -338,11 +338,6 @@ type FigureOpts struct {
 	// figure CSVs — seeds derive from (BaseSeed, figure, point, run),
 	// never from scheduling.
 	SweepWorkers int
-	// KernelWorkers is the simnet shard count per run. 0 auto-selects:
-	// GOMAXPROCS when the sweep itself is serial, 1 when sweep workers
-	// already saturate the cores (run-level parallelism beats
-	// round-level for many small runs).
-	KernelWorkers int
 	// BaseSeed roots the per-run seed derivation; 0 means 1.
 	BaseSeed int64
 }
@@ -369,8 +364,11 @@ func GenerateFigure(ctx context.Context, name string, xs []float64, opts FigureO
 	if sweepWorkers <= 0 {
 		sweepWorkers = runtime.GOMAXPROCS(0)
 	}
-	kernelWorkers := opts.KernelWorkers
-	if kernelWorkers == 0 && sweepWorkers > 1 {
+	// The simnet shard count per run: GOMAXPROCS (0) when the sweep
+	// itself is serial, 1 when sweep workers already saturate the cores
+	// (run-level parallelism beats round-level for many small runs).
+	kernelWorkers := 0
+	if sweepWorkers > 1 {
 		kernelWorkers = 1
 	}
 
