@@ -262,10 +262,13 @@ func TestHubPublishContextCancelMidFlight(t *testing.T) {
 // reply slots: a publish that gives up on its deadline may leave the
 // loop's reply to land in its slot later, so that slot must never serve
 // another publish. Eight publishers race random 0–50 µs deadlines
-// against the loop; every id Publish does return must be unique and
-// must be delivered by the peer with the payload it was published
+// against the loop; every id Publish does return must be unique, and
+// every id the peer delivers must carry the payload it was published
 // with — a stale reply handed to a later publish breaks one or both.
-// Run under -race.
+// The publishers can outrun the peer's inbox, whose overflow drops
+// frames and counts them (Stats.OverflowFrames), so an id may go
+// undelivered only if the peer counted at least as many drops as there
+// are undelivered ids. Run under -race.
 func TestPublishReplySlotsNotReusedAfterCancel(t *testing.T) {
 	const publishers = 8
 	const perPublisher = 200
@@ -343,7 +346,9 @@ func TestPublishReplySlotsNotReusedAfterCancel(t *testing.T) {
 		}
 	}
 	t.Logf("%d of %d publishes returned an id", len(want), publishers*perPublisher)
+	peerHub := hubs[1]
 	deadline := time.Now().Add(10 * time.Second)
+	prevMissing, steady := -1, 0
 	for {
 		mu.Lock()
 		missing, wrong := 0, ""
@@ -363,8 +368,19 @@ func TestPublishReplySlotsNotReusedAfterCancel(t *testing.T) {
 		if missing == 0 {
 			return
 		}
+		// Undelivered ids are settled once none has arrived for 200 ms.
+		if missing == prevMissing {
+			steady++
+		} else {
+			prevMissing, steady = missing, 0
+		}
+		dropped := peerHub.Stats().OverflowFrames
+		if steady >= 20 && int64(missing) <= dropped {
+			t.Logf("%d of %d returned ids undelivered, %d frames dropped by the peer's overflow", missing, len(want), dropped)
+			return
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d returned ids never delivered by the peer", missing, len(want))
+			t.Fatalf("%d of %d returned ids never delivered by the peer, which counted only %d overflow drops", missing, len(want), dropped)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
