@@ -234,6 +234,50 @@ func TestSeenSetMatchesFIFO(t *testing.T) {
 	}
 }
 
+// TestWindowMatchesFIFO: Insert numbers ids 1, 2, 3, … and Lookup
+// resolves an id to its latest number while that insertion is among
+// the last cap, exactly like a log of every insertion. The traffic
+// re-inserts ids still held, re-adds ids after eviction, and does both
+// while the window is still growing toward cap: each round starts a
+// fresh window.
+func TestWindowMatchesFIFO(t *testing.T) {
+	for _, capacity := range []int{1, 2, 3, 7, 8, 9, 16, 1023, 1024, 1025} {
+		r := rand.New(rand.NewSource(int64(capacity)))
+		for round := 0; round < 20; round++ {
+			w := NewWindow(capacity)
+			latest := map[EventID]uint64{} // each id's latest insertion number
+			var n uint64
+			for step := 0; step < 10_000; step++ {
+				// Half the ids come from a space narrower than the
+				// window, so they recur while held; the rest from a few
+				// windows' worth, so they recur after eviction.
+				space := 3*capacity + 2
+				if r.Intn(2) == 0 {
+					space = capacity/2 + 1
+				}
+				id := EventID{"p", uint64(r.Intn(space))}
+				if r.Intn(2) == 0 {
+					n++
+					latest[id] = n
+					if got := w.Insert(id); got != n {
+						t.Fatalf("cap %d round %d step %d: Insert(%v) = %d, want %d", capacity, round, step, id, got, n)
+					}
+				} else {
+					ins, ok := w.Lookup(id)
+					want, inserted := latest[id]
+					wantOK := inserted && n-want < uint64(capacity)
+					if ok != wantOK || ok && ins != want {
+						t.Fatalf("cap %d round %d step %d: Lookup(%v) = %d %v, want %d %v", capacity, round, step, id, ins, ok, want, wantOK)
+					}
+				}
+				if got := w.Inserted(); got != n {
+					t.Fatalf("cap %d round %d step %d: Inserted = %d, want %d", capacity, round, step, got, n)
+				}
+			}
+		}
+	}
+}
+
 // TestSeenSetSteadyStorage: once the window has cycled, a million
 // further ids allocate nothing and leave the heap where it was.
 func TestSeenSetSteadyStorage(t *testing.T) {
