@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -120,8 +121,7 @@ func TestSeenSetDefaultCap(t *testing.T) {
 }
 
 func TestSeenSetCompaction(t *testing.T) {
-	// Push far past capacity so every generation is cleared and reused
-	// many times over.
+	// Push far past capacity so the ring wraps many times over.
 	s := NewSeenSet(8)
 	for i := uint64(0); i < 1000; i++ {
 		if !s.Add(EventID{"p", i}) {
@@ -204,10 +204,9 @@ func (f *fifoSeen) add(id EventID) bool {
 	return true
 }
 
-// TestSeenSetMatchesFIFO: the generational window answers Add, Seen
-// and Len exactly like a plain FIFO at every step, including ids that
-// recur after they were evicted and ids whose stale copy still sits in
-// an older generation.
+// TestSeenSetMatchesFIFO: the window answers Add, Seen and Len exactly
+// like a plain FIFO at every step, including ids that recur after they
+// were evicted.
 func TestSeenSetMatchesFIFO(t *testing.T) {
 	for _, capacity := range []int{1, 2, 3, 7, 16, 1024} {
 		r := rand.New(rand.NewSource(int64(capacity)))
@@ -239,15 +238,17 @@ func TestSeenSetMatchesFIFO(t *testing.T) {
 // the last cap, exactly like a log of every insertion. The traffic
 // re-inserts ids still held, re-adds ids after eviction, and does both
 // while the window is still growing toward cap: each round starts a
-// fresh window.
+// fresh window. Cap 2^15+1 is the smallest whose full index has more
+// slots than an index slot's tag bits can name.
 func TestWindowMatchesFIFO(t *testing.T) {
-	for _, capacity := range []int{1, 2, 3, 7, 8, 9, 16, 1023, 1024, 1025} {
+	for _, capacity := range []int{1, 2, 3, 7, 8, 9, 16, 1023, 1024, 1025, 1<<15 + 1} {
 		r := rand.New(rand.NewSource(int64(capacity)))
-		for round := 0; round < 20; round++ {
+		steps := max(10_000, 4*capacity)
+		for round := 0; round < 200_000/steps; round++ {
 			w := NewWindow(capacity)
 			latest := map[EventID]uint64{} // each id's latest insertion number
 			var n uint64
-			for step := 0; step < 10_000; step++ {
+			for step := 0; step < steps; step++ {
 				// Half the ids come from a space narrower than the
 				// window, so they recur while held; the rest from a few
 				// windows' worth, so they recur after eviction.
@@ -293,11 +294,48 @@ func TestSeenSetSteadyStorage(t *testing.T) {
 	invariant.SteadyStorage(t, 1_000_000, push)
 }
 
+// TestSeenSetFootprint: a full default window retains at most 320 KiB
+// of live heap — its ring of cap ids (24 B each) and its index of
+// 2·cap 4-byte slots, 256 KiB, plus slack for the runtime. Three
+// rotating maps of ⌈cap/2⌉ ids held 924 KiB here.
+func TestSeenSetFootprint(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := NewSeenSet(DefaultSeenCap)
+	for i := range 4 * DefaultSeenCap {
+		s.Add(EventID{"p", uint64(i)})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	if kept := int64(after.HeapAlloc) - int64(before.HeapAlloc); kept > 320<<10 {
+		t.Errorf("window of %d ids retains %d KiB of heap, want at most 320 KiB", DefaultSeenCap, kept>>10)
+	}
+}
+
 func BenchmarkSeenSetAdd(b *testing.B) {
 	s := NewSeenSet(8192)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.Add(EventID{"p", uint64(i)})
+	}
+}
+
+// BenchmarkSeenSetRepeat adds an id the window already holds, the
+// common case: at the paper's psucc 0.85 a process receives about ten
+// messages per delivery, so about nine in ten are duplicates.
+func BenchmarkSeenSetRepeat(b *testing.B) {
+	s := NewSeenSet(8192)
+	for i := range 8192 {
+		s.Add(EventID{"p", uint64(i)})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if s.Add(EventID{"p", uint64(i % 8192)}) {
+			b.Fatal("Add of a held id reported it new")
+		}
 	}
 }
 
