@@ -126,7 +126,7 @@ func NewWindow(capacity int) Window {
 }
 
 // hash hashes id: the origin through the window's seeded maphash, the
-// sequence number folded in by a xorshift and a multiply whose top
+// sequence number folded in by an xorshift and a multiply whose top
 // bits, the ones the index uses, depend on every bit of both. One
 // origin's consecutive sequence numbers land evenly spread.
 func (w *Window) hash(id EventID) uint64 {
@@ -150,7 +150,7 @@ func (w *Window) home(s uint32) int {
 }
 
 // find returns the index slot holding the entry of id, whose hash is
-// h, or false and the empty slot that ends id's probe run.
+// h, if id has one.
 func (w *Window) find(h uint64, id EventID) (int, bool) {
 	index, posMask := w.index, w.posMask
 	mask := len(index) - 1
